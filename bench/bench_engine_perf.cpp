@@ -219,7 +219,7 @@ int run_json(const std::string& path) {
       {"SRPT", 8, 1000, 5},
       {"hedge:LS;rank:queue+window:12+hyst:2", 8, 1000, 3},
   };
-  std::string json = "{\"bench\":\"engine_perf\",\"unit\":\"tasks/sec\","
+  std::string json = "{\"bench\":\"engine_perf\",\"unit\":\"events/sec\","
                      "\"cases\":[";
   bool first = true;
   for (const Case& c : cases) {
@@ -237,7 +237,7 @@ int run_json(const std::string& path) {
     json += ",\"setup_sec\":" + std::to_string(timed.setup_sec);
     json += ",\"rss_peak_kb\":" + std::to_string(usage.ru_maxrss) + "}";
     std::cout << c.policy << " m=" << c.slaves << " n=" << c.tasks << ": "
-              << timed.events_per_sec << " tasks/sec (setup "
+              << timed.events_per_sec << " events/sec (setup "
               << timed.setup_sec << " s, peak RSS " << usage.ru_maxrss
               << " kb)\n";
   }

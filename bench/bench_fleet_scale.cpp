@@ -191,7 +191,7 @@ RowResult run_row(const Row& row) {
                       .count();
 
   core::EngineOptions heap;
-  heap.event_queue = core::EventQueueChoice::kHeap;
+  heap.event_queue = core::EventQueueImpl::kHeap;
   heap.scalar_probes = true;
   out.heap_eps = best_events_per_sec(plat, work, row.policy, heap, row.reps);
 

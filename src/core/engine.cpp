@@ -69,26 +69,13 @@ void OnePortEngine::reset(platform::Platform platform,
   slave_comp_ends_.resize(m);
   for (std::vector<Time>& ends : slave_comp_ends_) ends.clear();
   committed_ = 0;
-  EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
-  switch (options_.event_queue) {
-    case EventQueueChoice::kAuto:
-#ifdef MSOL_HEAP_EVENT_QUEUE
-      queue_impl = EventQueueImpl::kHeap;
-#endif
-      break;
-    case EventQueueChoice::kCalendar:
-      break;
-    case EventQueueChoice::kHeap:
-      queue_impl = EventQueueImpl::kHeap;
-      break;
-  }
-  events_.configure(queue_impl);  // also drops any stale entries
+  events_.configure(options_.event_queue);  // also drops any stale entries
   wake_gen_ = 0;
   schedule_.clear();
   trace_.clear();
 
   avail_enabled_ = false;
-  next_span_.assign(m, 0);
+  avail_cursors_.clear();  // may point into the previous options' profiles
   slave_online_.assign(m, 1);
   slave_speed_.assign(m, 1.0);
   slave_act_busy_.assign(m, 0.0);
@@ -97,15 +84,14 @@ void OnePortEngine::reset(platform::Platform platform,
   for (std::vector<TaskId>& doomed : doomed_tasks_) doomed.clear();
   doomed_partial_work_.assign(m, 0.0);
   disruption_ = DisruptionStats{};
-  lazy_avail_ = options_.lazy_availability.enabled();
-  avail_cursors_.clear();
-  if (lazy_avail_ && !options_.availability.empty()) {
+  const bool lazy = options_.lazy_availability.enabled();
+  if (lazy && !options_.availability.empty()) {
     throw std::invalid_argument(
         "OnePortEngine: availability and lazy_availability are mutually "
         "exclusive");
   }
   if (!options_.lazy_stream_ids.empty()) {
-    if (!lazy_avail_) {
+    if (!lazy) {
       throw std::invalid_argument(
           "OnePortEngine: lazy_stream_ids set without lazy_availability");
     }
@@ -114,64 +100,42 @@ void OnePortEngine::reset(platform::Platform platform,
           "OnePortEngine: lazy_stream_ids must have one entry per slave");
     }
   }
-  if (!options_.availability.empty()) {
-    if (options_.availability.size() != m) {
-      throw std::invalid_argument(
-          "OnePortEngine: availability profile count must match slave count");
-    }
-    for (const platform::AvailabilityProfile& profile :
-         options_.availability) {
-      if (!profile.trivial()) {
-        avail_enabled_ = true;
-        break;
+  if (!options_.availability.empty() && options_.availability.size() != m) {
+    throw std::invalid_argument(
+        "OnePortEngine: availability profile count must match slave count");
+  }
+  // One cursor per slave over whichever source the options name; from here
+  // on the engine reads availability only through avail_cursors_.
+  if (lazy || !options_.availability.empty()) {
+    if (lazy) platform::validate(options_.lazy_availability);
+    avail_cursors_.reserve(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      if (lazy) {
+        // Identity keying draws slave j's stream as fork j; a ShardedEngine
+        // re-keys each local slave to its global id (see EngineOptions).
+        const int stream = options_.lazy_stream_ids.empty()
+                               ? static_cast<int>(j)
+                               : static_cast<int>(options_.lazy_stream_ids[j]);
+        avail_cursors_.emplace_back(options_.lazy_availability, stream);
+      } else {
+        avail_cursors_.emplace_back(options_.availability[j]);
       }
+      if (!avail_cursors_[j].trivial()) avail_enabled_ = true;
     }
   }
   next_avail_time_ = std::numeric_limits<Time>::infinity();
-  if (avail_enabled_) {
-    for (std::size_t j = 0; j < m; ++j) {
-      const auto& spans = options_.availability[j].spans();
-      std::size_t i = 0;
-      while (i < spans.size() && spans[i].begin <= kTimeEps) {
-        slave_online_[j] = spans[i].online ? 1 : 0;
-        slave_speed_[j] = spans[i].speed;
-        ++i;
-      }
-      next_span_[j] = i;
-      if (i < spans.size()) {
-        events_.push(spans[i].begin, EventKind::kAvailability);
-        next_avail_time_ = std::min(next_avail_time_, spans[i].begin);
-      }
+  if (!avail_enabled_) return;  // every slave static: closed-form path
+  for (std::size_t j = 0; j < m; ++j) {
+    platform::AvailabilityCursor& cur = avail_cursors_[j];
+    while (cur.next_begin() <= kTimeEps) {
+      const platform::AvailabilitySpan span = cur.advance();
+      slave_online_[j] = span.online ? 1 : 0;
+      slave_speed_[j] = span.speed;
     }
-  } else if (lazy_avail_) {
-    platform::validate(options_.lazy_availability);
-    avail_cursors_.reserve(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      // Identity keying draws slave j's stream as fork j; a ShardedEngine
-      // re-keys each local slave to its global id (see EngineOptions).
-      const int stream = options_.lazy_stream_ids.empty()
-                             ? static_cast<int>(j)
-                             : static_cast<int>(options_.lazy_stream_ids[j]);
-      avail_cursors_.emplace_back(options_.lazy_availability, stream);
-      if (!avail_cursors_[j].trivial()) avail_enabled_ = true;
-    }
-    if (avail_enabled_) {
-      for (std::size_t j = 0; j < m; ++j) {
-        platform::AvailabilityCursor& cur = avail_cursors_[j];
-        while (std::isfinite(cur.next_begin()) &&
-               cur.next_begin() <= kTimeEps) {
-          const platform::AvailabilitySpan span = cur.advance();
-          slave_online_[j] = span.online ? 1 : 0;
-          slave_speed_[j] = span.speed;
-        }
-        const Time nb = cur.next_begin();
-        if (std::isfinite(nb)) {
-          events_.push(nb, EventKind::kAvailability);
-          next_avail_time_ = std::min(next_avail_time_, nb);
-        }
-      }
-    } else {
-      lazy_avail_ = false;  // every cursor trivial: closed-form path
+    const Time nb = cur.next_begin();
+    if (std::isfinite(nb)) {
+      events_.push(nb, EventKind::kAvailability);
+      next_avail_time_ = std::min(next_avail_time_, nb);
     }
   }
 }
@@ -373,37 +337,17 @@ void OnePortEngine::process_avail_transitions() {
   if (!avail_enabled_ || next_avail_time_ > now_ + kTimeEps) return;
   next_avail_time_ = std::numeric_limits<Time>::infinity();
   const std::size_t m = static_cast<std::size_t>(platform_->size());
-  if (lazy_avail_) {
-    for (std::size_t j = 0; j < m; ++j) {
-      platform::AvailabilityCursor& cur = avail_cursors_[j];
-      bool advanced = false;
-      while (std::isfinite(cur.next_begin()) &&
-             cur.next_begin() <= now_ + kTimeEps) {
-        apply_avail_span(j, cur.advance());
-        advanced = true;
-      }
-      const Time nb = cur.next_begin();
-      if (std::isfinite(nb)) {
-        if (advanced) events_.push(nb, EventKind::kAvailability);
-        next_avail_time_ = std::min(next_avail_time_, nb);
-      }
-    }
-    return;
-  }
   for (std::size_t j = 0; j < m; ++j) {
-    const auto& spans = options_.availability[j].spans();
-    std::size_t& i = next_span_[j];
+    platform::AvailabilityCursor& cur = avail_cursors_[j];
     bool advanced = false;
-    while (i < spans.size() && spans[i].begin <= now_ + kTimeEps) {
-      apply_avail_span(j, spans[i]);
-      ++i;
+    while (cur.next_begin() <= now_ + kTimeEps) {
+      apply_avail_span(j, cur.advance());
       advanced = true;
     }
-    if (advanced && i < spans.size()) {
-      events_.push(spans[i].begin, EventKind::kAvailability);
-    }
-    if (i < spans.size()) {
-      next_avail_time_ = std::min(next_avail_time_, spans[i].begin);
+    const Time nb = cur.next_begin();
+    if (std::isfinite(nb)) {
+      if (advanced) events_.push(nb, EventKind::kAvailability);
+      next_avail_time_ = std::min(next_avail_time_, nb);
     }
   }
 }
@@ -513,18 +457,15 @@ void OnePortEngine::commit(TaskId task_id, SlaveId slave) {
       const double work = platform_->comp(slave) * spec.comp_factor *
                           slowdown_factor_at(options_.slowdowns, slave,
                                              exec_start);
-      const std::optional<Time> outage =
-          lazy_avail_ ? avail_cursors_[js].next_offline_after(now_)
-                      : options_.availability[js].next_offline_after(now_);
+      platform::AvailabilityCursor& avail = avail_cursors_[js];
+      const std::optional<Time> outage = avail.next_offline_after(now_);
       if (outage && exec_start >= *outage) {
         doomed = true;  // still on the link (or queued) when the slave dies
       } else {
         const Time cut =
             outage ? *outage : std::numeric_limits<Time>::infinity();
         const platform::AvailabilityProfile::WorkResult run =
-            lazy_avail_ ? avail_cursors_[js].run_work(exec_start, work, cut)
-                        : options_.availability[js].run_work(exec_start, work,
-                                                             cut);
+            avail.run_work(exec_start, work, cut);
         if (run.completed) {
           rec.comp_start = exec_start;
           rec.comp_end = run.end;

@@ -68,14 +68,6 @@ struct DeltaEvent {
   double speed = 1.0;  ///< kSlaveUp / kSpeedShift: the new speed
 };
 
-/// Which EventQueue implementation an engine uses. kAuto resolves to the
-/// calendar queue unless the build was configured with
-/// -DMSOL_HEAP_EVENT_QUEUE (the build-level escape hatch that flips every
-/// kAuto engine in a binary back onto the heap); the explicit choices pin
-/// one implementation regardless of build flags — the differential harness
-/// uses them to run calendar-vs-heap engines side by side in one process.
-enum class EventQueueChoice : std::uint8_t { kAuto, kCalendar, kHeap };
-
 /// Engine knobs.
 struct EngineOptions {
   /// Number of simultaneous sends the master may have in flight.
@@ -86,19 +78,19 @@ struct EngineOptions {
   /// Schedulers are NOT told about these windows — they plan with nominal
   /// (c_j, p_j) and the engine charges the real, degraded durations.
   std::vector<SlowdownWindow> slowdowns;
-  /// Per-slave availability timelines (outages + speed drift). Empty, or
-  /// all-trivial, keeps the engine on its original closed-form path —
-  /// bit-identical to ReferenceEngine. Non-empty must have one profile per
-  /// slave. See the "time-varying availability" block comment below.
+  /// Per-slave availability timelines (outages + speed drift), one profile
+  /// per slave, each walked in place by the slave's AvailabilityCursor.
+  /// Empty, or all-trivial, keeps the engine on its original closed-form
+  /// path — bit-identical to ReferenceEngine. See the "time-varying
+  /// availability" block comment below.
   std::vector<platform::AvailabilityProfile> availability;
-  /// On-demand availability: when `lazy_availability.model != kAlways` the
-  /// engine draws each slave's spans incrementally from an independent
-  /// per-slave stream (AvailabilityCursor) instead of materializing whole
-  /// profiles up front — O(window) memory per slave instead of
-  /// O(horizon/mtbf), which is what fleet-scale shards need. Semantics are
-  /// byte-identical to running with generate_availability_forked(spec, m)
-  /// materialized into `availability` (tests/test_availability_stream.cpp
-  /// pins this). Mutually exclusive with a non-empty `availability`.
+  /// The on-demand alternative to `availability`: when
+  /// `lazy_availability.model != kAlways` each slave's cursor draws its
+  /// spans from an independent per-slave stream — O(window) memory per slave
+  /// instead of O(horizon/mtbf), which is what fleet-scale shards need.
+  /// Byte-identical to generate_availability_forked(spec, m) in
+  /// `availability` (tests/test_availability_stream.cpp pins this).
+  /// Mutually exclusive with a non-empty `availability`.
   platform::LazyAvailabilitySpec lazy_availability;
   /// Stream re-keying for `lazy_availability`: when non-empty it must hold
   /// one entry per slave, and slave j draws its availability spans from
@@ -112,9 +104,9 @@ struct EngineOptions {
   std::vector<SlaveId> lazy_stream_ids;
   /// Record a decision/event log readable via OnePortEngine::trace().
   bool enable_trace = false;
-  /// Event-calendar implementation (see EventQueueChoice). Behavior is
-  /// identical either way — only the cost of push/pop changes.
-  EventQueueChoice event_queue = EventQueueChoice::kAuto;
+  /// Event-calendar implementation. Behavior is identical either way —
+  /// only the cost of push/pop changes.
+  EventQueueImpl event_queue = EventQueueImpl::kCalendar;
   /// Disable the batched ranking-kernel probe paths: slave_state() reports
   /// empty and the batch probes fall back to the generic per-slave virtual
   /// loops. This is the measurable pre-kernel baseline bench_fleet_scale
@@ -148,8 +140,8 @@ struct DisruptionStats {
 /// Decision instants come from an event calendar: slave completions and
 /// WaitUntil wake-ups are pushed into an EventQueue (a bucketed calendar
 /// queue by default, O(1) amortized; a binary min-heap behind
-/// EngineOptions::event_queue — see EventQueueChoice) when they become
-/// known and consumed lazily, while releases keep their sorted cursor and
+/// EngineOptions::event_queue) when they become known and consumed
+/// lazily, while releases keep their sorted cursor and
 /// port frees their capacity-bounded array. Advancing time thus costs O(1)
 /// amortized instead of the O(slaves * log tasks) scan the pre-calendar
 /// engine (retained verbatim as ReferenceEngine) performs at every step.
@@ -172,9 +164,10 @@ struct DisruptionStats {
 /// next run call resumes decisions at t with the new information. This is
 /// exactly the probe discipline of the paper's lower-bound proofs.
 ///
-/// Time-varying availability (EngineOptions::availability): each slave
-/// replays a deterministic profile of outages and speed drift, realized as
-/// kAvailability calendar events. Semantics:
+/// Time-varying availability (EngineOptions::availability or
+/// lazy_availability): each slave replays a deterministic timeline of
+/// outages and speed drift through one AvailabilityCursor, whichever source
+/// backs it, realized as kAvailability calendar events. Semantics:
 ///  * a slave transitioning offline aborts *every* task committed to it and
 ///    not yet completed (queued, computing, or still on the link): partial
 ///    compute is discarded (DisruptionStats::lost_work), the tasks rejoin
@@ -199,6 +192,9 @@ class OnePortEngine final : public EngineView {
  public:
   /// Inert engine; call reset() before any other member.
   OnePortEngine() = default;
+  /// Not copyable: profile-backed cursors point into this engine's options.
+  OnePortEngine(const OnePortEngine&) = delete;
+  OnePortEngine& operator=(const OnePortEngine&) = delete;
 
   OnePortEngine(platform::Platform platform, OnlineScheduler& scheduler,
                 EngineOptions options = {});
@@ -322,9 +318,7 @@ class OnePortEngine final : public EngineView {
   /// uncompleted task of j and resets the slave's bookkeeping.
   void handle_offline(SlaveId j, Time t);
   /// Applies one availability span to slave j's cached state: online/speed
-  /// update, trace events, and the offline flush. Shared between the
-  /// materialized-profile walk and the lazy-cursor walk so the two modes
-  /// cannot drift.
+  /// update, delta-feed entry, trace events, and the offline flush.
   void apply_avail_span(std::size_t j, const platform::AvailabilitySpan& span);
   /// One decision round; returns true if an assignment was committed.
   bool try_decide();
@@ -411,11 +405,8 @@ class OnePortEngine final : public EngineView {
   /// process_avail_transitions() early-out in O(1) on the vast majority of
   /// event-loop iterations, where nothing is due.
   Time next_avail_time_ = 0.0;
-  /// Lazy mode (EngineOptions::lazy_availability): per-slave on-demand span
-  /// cursors replace the materialized next_span_ walk and profile queries.
-  bool lazy_avail_ = false;
+  /// One span walk per slave over the options' profiles or lazy streams.
   std::vector<platform::AvailabilityCursor> avail_cursors_;
-  std::vector<std::size_t> next_span_;      ///< per-slave next profile span
   std::vector<std::uint8_t> slave_online_;  ///< cached state at now()
   std::vector<double> slave_speed_;         ///< cached speed at now()
   /// Actual completion instant of slave j's committed chain — diverges from

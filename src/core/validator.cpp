@@ -16,6 +16,7 @@ constexpr double kDurEps = 1e-6;  // duration checks (looser than event order)
 void check_durations(const platform::Platform& platform,
                      const Workload& workload, const TaskRecord& r,
                      const EngineOptions& options,
+                     const std::vector<platform::AvailabilityProfile>& profiles,
                      std::vector<std::string>& out) {
   const TaskSpec& spec = workload.at(r.task);
   std::ostringstream msg;
@@ -42,9 +43,8 @@ void check_durations(const platform::Platform& platform,
       platform.comp(r.slave) * spec.comp_factor *
       slowdown_factor_at(options.slowdowns, r.slave, r.comp_start);
   const platform::AvailabilityProfile* profile =
-      options.availability.empty()
-          ? nullptr
-          : &options.availability[static_cast<std::size_t>(r.slave)];
+      profiles.empty() ? nullptr
+                       : &profiles[static_cast<std::size_t>(r.slave)];
   if (profile == nullptr || profile->trivial()) {
     if (std::abs((r.comp_end - r.comp_start) - want_work) > kDurEps) {
       std::ostringstream m3;
@@ -95,6 +95,27 @@ std::vector<std::string> validate(const platform::Platform& platform,
   const int port_capacity = options.port_capacity;
   std::vector<std::string> out;
 
+  // A lazy run is checked against its materialized realization: slave j's
+  // spans come from stream lazy_stream_ids[j] (identity keying when empty),
+  // drawn by the stream generator rather than taken from the engine.
+  std::vector<platform::AvailabilityProfile> lazy_profiles;
+  if (options.lazy_availability.enabled()) {
+    const std::vector<SlaveId>& ids = options.lazy_stream_ids;
+    if (!ids.empty() &&
+        ids.size() != static_cast<std::size_t>(platform.size())) {
+      throw std::invalid_argument(
+          "validate: lazy_stream_ids must have one entry per slave");
+    }
+    for (SlaveId j = 0; j < platform.size(); ++j) {
+      const SlaveId stream = ids.empty() ? j : ids[static_cast<std::size_t>(j)];
+      lazy_profiles.push_back(platform::generate_availability_stream(
+          options.lazy_availability, static_cast<int>(stream)));
+    }
+  }
+  const std::vector<platform::AvailabilityProfile>& profiles =
+      options.lazy_availability.enabled() ? lazy_profiles
+                                          : options.availability;
+
   // Coverage: every task exactly once, valid ids.
   std::vector<int> seen(static_cast<std::size_t>(workload.size()), 0);
   for (const TaskRecord& r : schedule.records()) {
@@ -109,7 +130,7 @@ std::vector<std::string> validate(const platform::Platform& platform,
       continue;
     }
     ++seen[static_cast<std::size_t>(r.task)];
-    check_durations(platform, workload, r, options, out);
+    check_durations(platform, workload, r, options, profiles, out);
   }
   for (TaskId i = 0; i < workload.size(); ++i) {
     const int n = seen[static_cast<std::size_t>(i)];

@@ -29,9 +29,12 @@ std::vector<std::string> validate(const platform::Platform& platform,
                                   int port_capacity = 1);
 
 /// Variant honoring the full engine options: port capacity, injected
-/// slowdown windows, AND availability profiles (compute durations must
-/// match the piecewise speed integral, and no completed task may span an
-/// offline stretch of its slave).
+/// slowdown windows, AND availability (compute durations must match the
+/// piecewise speed integral, and no completed task may span an offline
+/// stretch of its slave). A lazy run is checked against each slave's
+/// materialized realization (generate_availability_stream, keyed by
+/// `lazy_stream_ids`); either way the checks use AvailabilityProfile's
+/// whole-timeline queries, never the engine's cursors.
 std::vector<std::string> validate(const platform::Platform& platform,
                                   const Workload& workload,
                                   const Schedule& schedule,

@@ -54,6 +54,13 @@ AvailabilityCursor::AvailabilityCursor(const LazyAvailabilitySpec& spec,
       done_ = !(t_ < horizon_);
       break;
   }
+  refresh_next_begin();
+}
+
+AvailabilityCursor::AvailabilityCursor(const AvailabilityProfile& profile)
+    : profile_next_(profile.spans().data()),
+      profile_end_(profile.spans().data() + profile.spans().size()) {
+  refresh_next_begin();
 }
 
 bool AvailabilityCursor::generate() {
@@ -71,7 +78,6 @@ bool AvailabilityCursor::generate() {
       if (hit && len > 0.0) {
         pending_.push_back(AvailabilitySpan{start, false, 1.0});
         pending_.push_back(AvailabilitySpan{start + len, true, 1.0});
-        generated_any_ = true;
         return true;
       }
       return false;
@@ -83,14 +89,12 @@ bool AvailabilityCursor::generate() {
       const core::Time down = rng_.exponential(1.0 / down_mean_);
       pending_.push_back(AvailabilitySpan{t_, false, 1.0});
       pending_.push_back(AvailabilitySpan{t_ + down, true, 1.0});
-      generated_any_ = true;
       t_ += down + rng_.exponential(1.0 / up_mean_);
       done_ = !(t_ < horizon_);
       return true;
     }
     case AvailabilityModel::kDrift: {
       pending_.push_back(AvailabilitySpan{t_, true, rng_.uniform(0.5, 1.5)});
-      generated_any_ = true;
       t_ += rng_.exponential(1.0 / mtbf_);
       done_ = !(t_ < horizon_);
       return true;
@@ -106,57 +110,63 @@ bool AvailabilityCursor::ensure(std::size_t k) {
   return pending_.size() >= k;
 }
 
+const AvailabilitySpan* AvailabilityCursor::upcoming(std::size_t k) {
+  if (!lazy_) {
+    // Profile backing (a default-constructed cursor is the empty profile).
+    return k < static_cast<std::size_t>(profile_end_ - profile_next_)
+               ? profile_next_ + k
+               : nullptr;
+  }
+  // std::deque::push_back never invalidates element references, so the
+  // pointer stays valid while the window grows behind it.
+  return ensure(k + 1) ? &pending_[k] : nullptr;
+}
+
 const AvailabilitySpan* AvailabilityCursor::span_at(std::size_t i) {
   // Virtual sequence index i: 0 is the most recently applied span (when one
-  // is retained), then the unapplied window. std::deque::push_back never
-  // invalidates element references, so pointers stay valid while the window
-  // grows behind them.
-  if (has_last_) {
-    if (i == 0) return &last_;
-    if (!ensure(i)) return nullptr;
-    return &pending_[i - 1];
-  }
-  if (!ensure(i + 1)) return nullptr;
-  return &pending_[i];
+  // is retained), then the unapplied spans.
+  if (has_last_) return i == 0 ? &last_ : upcoming(i - 1);
+  return upcoming(i);
 }
 
-bool AvailabilityCursor::trivial() {
-  ensure(1);
-  return !generated_any_;
+void AvailabilityCursor::refresh_next_begin() {
+  const AvailabilitySpan* next = upcoming(0);
+  next_begin_ = next == nullptr ? kInf : next->begin;
 }
 
-core::Time AvailabilityCursor::next_begin() {
-  ensure(1);
-  return pending_.empty() ? kInf : pending_.front().begin;
+bool AvailabilityCursor::trivial() const {
+  return !has_last_ && next_begin_ == kInf;
 }
 
 AvailabilitySpan AvailabilityCursor::advance() {
-  ensure(1);
-  if (pending_.empty()) {
+  const AvailabilitySpan* next = upcoming(0);
+  if (next == nullptr) {
     throw std::logic_error("AvailabilityCursor::advance: realization exhausted");
   }
-  const AvailabilitySpan span = pending_.front();
-  pending_.pop_front();
+  const AvailabilitySpan span = *next;
+  if (lazy_) {
+    pending_.pop_front();
+  } else {
+    ++profile_next_;
+  }
   if (has_last_) {
     base_online_ = last_.online;
     base_speed_ = last_.speed;
   }
   last_ = span;
   has_last_ = true;
+  refresh_next_begin();
   return span;
 }
 
 std::optional<core::Time> AvailabilityCursor::next_offline_after(
     core::Time t) {
-  // kDrift and kAlways never go offline: answer without generating ahead —
-  // this is what keeps commit() O(1) in generated spans for those models.
-  if (model_ == AvailabilityModel::kAlways ||
-      model_ == AvailabilityModel::kDrift) {
-    return std::nullopt;
-  }
+  // A lazy kDrift stream never goes offline: answer without generating
+  // ahead — this is what keeps commit() O(1) in generated spans for it.
+  if (lazy_ && model_ == AvailabilityModel::kDrift) return std::nullopt;
   bool online = base_online_;
   std::size_t i = 0;
-  for (;;) {  // fold spans governing t (begin <= t), as span_index_at does
+  for (;;) {  // fold spans governing t (begin <= t)
     const AvailabilitySpan* s = span_at(i);
     if (s == nullptr) return std::nullopt;
     if (s->begin > t) break;
@@ -206,6 +216,14 @@ AvailabilityProfile::WorkResult AvailabilityCursor::run_work(core::Time start,
   return result;
 }
 
+AvailabilityProfile generate_availability_stream(
+    const LazyAvailabilitySpec& spec, int stream) {
+  AvailabilityCursor cursor(spec, stream);
+  std::vector<AvailabilitySpan> spans;
+  while (std::isfinite(cursor.next_begin())) spans.push_back(cursor.advance());
+  return AvailabilityProfile(std::move(spans));
+}
+
 std::vector<AvailabilityProfile> generate_availability_forked(
     const LazyAvailabilitySpec& spec, int num_slaves) {
   if (num_slaves <= 0) {
@@ -216,16 +234,7 @@ std::vector<AvailabilityProfile> generate_availability_forked(
   std::vector<AvailabilityProfile> profiles;
   profiles.reserve(static_cast<std::size_t>(num_slaves));
   for (int j = 0; j < num_slaves; ++j) {
-    if (!spec.enabled()) {
-      profiles.emplace_back();
-      continue;
-    }
-    AvailabilityCursor cursor(spec, j);
-    std::vector<AvailabilitySpan> spans;
-    while (std::isfinite(cursor.next_begin())) {
-      spans.push_back(cursor.advance());
-    }
-    profiles.emplace_back(std::move(spans));
+    profiles.push_back(generate_availability_stream(spec, j));
   }
   return profiles;
 }

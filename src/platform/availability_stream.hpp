@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -30,52 +31,55 @@ struct LazyAvailabilitySpec {
 /// outside [0, 0.9]); no-op for the kAlways model.
 void validate(const LazyAvailabilitySpec& spec);
 
-/// On-demand span source for ONE slave: replays exactly the span sequence
-/// generate_availability_forked() materializes for that slave, but holds
-/// only a bounded window — the most recently applied span plus whatever a
-/// forward query has generated ahead — instead of O(horizon/mtbf) spans up
-/// front. The engine drives it with the same three operations it performs
-/// on a materialized profile:
+/// The engine's one view of a slave's availability timeline, with two
+/// backings behind the same operations:
 ///
-///   * next_begin()/advance()       the transition walk (process_avail_
-///                                  transitions' per-slave span cursor)
+///   * lazy     one slave's counter-forked stream of a LazyAvailabilitySpec,
+///              generated on demand: only the most recently applied span
+///              plus whatever a forward query generated ahead is held,
+///              instead of O(horizon/mtbf) spans up front;
+///   * profile  a materialized AvailabilityProfile's spans, read in place
+///              (the profile must outlive the cursor).
+///
+/// The engine drives it with three operations:
+///
+///   * next_begin()/advance()       the transition walk
 ///   * next_offline_after(t)        commit-time doom check
 ///   * run_work(start, work, until) piecewise compute integration
 ///
-/// Forward queries generate spans ahead as needed (for kChurn that is the
-/// next down/up pair; kDrift never goes offline and short-circuits) and the
-/// generated-ahead spans are retained until advance() consumes them, so the
-/// window size is bounded by the engine's lookahead distance, not the
-/// horizon. Queries must be anchored at or after the last applied span's
-/// neighborhood — the engine's monotone now() guarantees that.
+/// The queries fold forward from the most recently applied span, so they
+/// must be anchored at or after that span's neighborhood — the engine's
+/// monotone now() guarantees it. Under that discipline either backing
+/// answers exactly as AvailabilityProfile's whole-timeline queries, the
+/// oracle the tests and the validator check against.
 ///
 /// A default-constructed cursor is the trivial always-online profile.
 class AvailabilityCursor {
  public:
   AvailabilityCursor() = default;
-  /// Lazy mode: slave `slave`'s stream of `spec`, independent of every
+  /// Lazy backing: slave `slave`'s stream of `spec`, independent of every
   /// other slave's (counter-forked from spec.seed).
   AvailabilityCursor(const LazyAvailabilitySpec& spec, int slave);
+  /// Profile backing: walks `profile`'s spans in place.
+  explicit AvailabilityCursor(const AvailabilityProfile& profile);
 
   /// True when this slave's realization has no spans at all (static slave).
-  /// May generate the first span to find out.
-  bool trivial();
+  bool trivial() const;
 
   /// Begin of the next unapplied span, or +infinity when the realization is
-  /// exhausted (the final state persists forever).
-  core::Time next_begin();
+  /// exhausted (the final state persists forever). Cached: the engine polls
+  /// it for every slave whenever any transition is due.
+  core::Time next_begin() const { return next_begin_; }
 
   /// Consumes the next span (next_begin() must be finite) and returns it.
   AvailabilitySpan advance();
 
   /// First instant strictly after `t` at which the slave transitions from
-  /// online to offline; nullopt when it never goes down again. Matches
-  /// AvailabilityProfile::next_offline_after on the full realization.
+  /// online to offline; nullopt when it never goes down again.
   std::optional<core::Time> next_offline_after(core::Time t);
 
   /// Advances `work` nominal-seconds of compute from `start`, honoring the
   /// piecewise speed, stopping at `until` (exclusive) when unfinished.
-  /// Matches AvailabilityProfile::run_work operation-for-operation.
   AvailabilityProfile::WorkResult run_work(core::Time start, double work,
                                            core::Time until);
 
@@ -85,22 +89,30 @@ class AvailabilityCursor {
   bool generate();
   /// Ensures pending_ holds at least `k` spans (or the generator is done).
   bool ensure(std::size_t k);
-  /// Span `i` of the virtual sequence [last_ (if retained), pending_...],
-  /// generating on demand; nullptr once the realization is exhausted.
+  /// The `k`-th unapplied span (0 = next), generating on demand; nullptr
+  /// once the realization is exhausted.
+  const AvailabilitySpan* upcoming(std::size_t k);
+  /// Span `i` of the virtual sequence [last_ (if retained), unapplied...];
+  /// nullptr once the realization is exhausted.
   const AvailabilitySpan* span_at(std::size_t i);
+  /// Re-reads next_begin_ from the next unapplied span (generating it).
+  void refresh_next_begin();
 
-  // --- generated-but-unapplied spans, oldest first --------------------------
-  std::deque<AvailabilitySpan> pending_;
+  core::Time next_begin_ = std::numeric_limits<core::Time>::infinity();
   // --- most recently applied span (queries may anchor just before it) ------
   bool has_last_ = false;
   AvailabilitySpan last_{};
-  bool base_online_ = true;  ///< state before last_ (after pruned spans)
+  bool base_online_ = true;  ///< state before last_ (after earlier spans)
   double base_speed_ = 1.0;
 
-  // --- generator state ------------------------------------------------------
+  // --- profile backing: [profile_next_, profile_end_) is unapplied ---------
+  const AvailabilitySpan* profile_next_ = nullptr;
+  const AvailabilitySpan* profile_end_ = nullptr;
+
+  // --- lazy backing: generated-but-unapplied spans, oldest first -----------
+  std::deque<AvailabilitySpan> pending_;
   bool lazy_ = false;
   bool done_ = true;
-  bool generated_any_ = false;
   AvailabilityModel model_ = AvailabilityModel::kAlways;
   double up_mean_ = 0.0;
   double down_mean_ = 0.0;
@@ -111,12 +123,18 @@ class AvailabilityCursor {
   util::Rng rng_{0};
 };
 
+/// Materializes slave `stream`'s realization of `spec`: exactly the spans a
+/// lazy AvailabilityCursor(spec, stream) replays. Trivial for kAlways.
+AvailabilityProfile generate_availability_stream(
+    const LazyAvailabilitySpec& spec, int stream);
+
 /// Materializes the exact per-slave realizations the lazy cursors replay:
-/// slave j's spans come from the independent stream child_seed(j) of
-/// spec.seed. This deliberately differs from generate_availability(), whose
-/// single shared stream makes slave j's draws depend on how many draws
-/// slaves 0..j-1 consumed — a coupling an incremental generator cannot
-/// reproduce. tests/test_availability_stream.cpp pins lazy == materialized
+/// slave j's spans are generate_availability_stream(spec, j), drawn from
+/// the independent stream child_seed(j) of spec.seed. This deliberately
+/// differs from generate_availability(), whose single shared stream makes
+/// slave j's draws depend on how many draws slaves 0..j-1 consumed — a
+/// coupling an incremental generator cannot reproduce.
+/// tests/test_availability_stream.cpp pins lazy == materialized
 /// byte-for-byte through the engine.
 std::vector<AvailabilityProfile> generate_availability_forked(
     const LazyAvailabilitySpec& spec, int num_slaves);

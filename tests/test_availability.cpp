@@ -323,8 +323,10 @@ TEST(EngineAvailability, ObservablesReportThePresentOnly) {
 }
 
 TEST(EngineAvailability, ReusedEngineMatchesFreshUnderChurn) {
-  // reset() must scrub the availability state too: run a churny case in a
-  // reused engine after an unrelated case and compare to a fresh engine.
+  // reset() must scrub the availability state too, including the cursors
+  // it builds over each source: one reused engine runs an unrelated case,
+  // then switches materialized -> lazy -> materialized availability, and
+  // every run must match a fresh engine byte for byte.
   const platform::Platform plat = two_slaves();
   std::vector<platform::AvailabilityProfile> profiles(2);
   profiles[0] = platform::AvailabilityProfile(
@@ -335,33 +337,63 @@ TEST(EngineAvailability, ReusedEngineMatchesFreshUnderChurn) {
   util::Rng rng(3);
   const Workload warmup = Workload::poisson(12, 2.0, rng);
   const Workload work = Workload::poisson(15, 3.0, rng);
-  const EngineOptions options = with_profiles(profiles);
+  const EngineOptions materialized = with_profiles(profiles);
+  EngineOptions lazy;
+  lazy.enable_trace = true;
+  lazy.lazy_availability.model = platform::AvailabilityModel::kChurn;
+  lazy.lazy_availability.mtbf = 1.0;
+  lazy.lazy_availability.outage_frac = 0.3;
+  lazy.lazy_availability.horizon = 20.0;
+  lazy.lazy_availability.seed = 8;
 
-  const auto p1 = algorithms::make_scheduler("LS", 4);
-  const auto p2 = algorithms::make_scheduler("LS", 4);
-  const auto p3 = algorithms::make_scheduler("LS", 4);
-
-  OnePortEngine reused(plat, *p1, {});
+  const auto warm = algorithms::make_scheduler("LS", 4);
+  OnePortEngine reused(plat, *warm, {});
   reused.load(warmup);
   reused.run_to_completion();
-  reused.reset(plat, *p2, options);
-  reused.load(work);
-  reused.run_to_completion();
 
-  OnePortEngine fresh(plat, *p3, options);
-  fresh.load(work);
-  fresh.run_to_completion();
+  const EngineOptions* const sources[] = {&materialized, &lazy,
+                                          &materialized};
+  int redispatches = 0;
+  for (const EngineOptions* options : sources) {
+    SCOPED_TRACE(options == &lazy ? "lazy" : "materialized");
+    const auto p1 = algorithms::make_scheduler("LS", 4);
+    const auto p2 = algorithms::make_scheduler("LS", 4);
+    reused.reset(plat, *p1, *options);
+    reused.load(work);
+    reused.run_to_completion();
 
-  ASSERT_EQ(reused.schedule().size(), fresh.schedule().size());
-  for (int i = 0; i < fresh.schedule().size(); ++i) {
-    EXPECT_EQ(reused.schedule().at(i).task, fresh.schedule().at(i).task);
-    EXPECT_EQ(reused.schedule().at(i).slave, fresh.schedule().at(i).slave);
-    EXPECT_EQ(reused.schedule().at(i).comp_end,
-              fresh.schedule().at(i).comp_end);
+    OnePortEngine fresh(plat, *p2, *options);
+    fresh.load(work);
+    fresh.run_to_completion();
+
+    ASSERT_EQ(reused.schedule().size(), fresh.schedule().size());
+    for (int i = 0; i < fresh.schedule().size(); ++i) {
+      const TaskRecord& a = reused.schedule().at(i);
+      const TaskRecord& b = fresh.schedule().at(i);
+      EXPECT_EQ(a.task, b.task);
+      EXPECT_EQ(a.slave, b.slave);
+      EXPECT_EQ(a.send_start, b.send_start);
+      EXPECT_EQ(a.send_end, b.send_end);
+      EXPECT_EQ(a.comp_start, b.comp_start);
+      EXPECT_EQ(a.comp_end, b.comp_end);
+    }
+    const auto& ta = reused.trace().events();
+    const auto& tb = fresh.trace().events();
+    ASSERT_EQ(ta.size(), tb.size());
+    for (std::size_t i = 0; i < tb.size(); ++i) {
+      EXPECT_EQ(ta[i].kind, tb[i].kind);
+      EXPECT_EQ(ta[i].time, tb[i].time);
+      EXPECT_EQ(ta[i].task, tb[i].task);
+      EXPECT_EQ(ta[i].slave, tb[i].slave);
+      EXPECT_EQ(ta[i].aux, tb[i].aux);
+    }
+    EXPECT_EQ(reused.disruption().redispatches,
+              fresh.disruption().redispatches);
+    EXPECT_EQ(reused.disruption().lost_work, fresh.disruption().lost_work);
+    EXPECT_EQ(reused.now(), fresh.now());
+    redispatches += fresh.disruption().redispatches;
   }
-  EXPECT_EQ(reused.disruption().redispatches,
-            fresh.disruption().redispatches);
-  EXPECT_EQ(reused.now(), fresh.now());
+  EXPECT_GT(redispatches, 0);  // the sources actually disturbed the runs
 }
 
 TEST(EngineAvailability, MismatchedProfileCountThrows) {

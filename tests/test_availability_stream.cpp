@@ -1,11 +1,13 @@
-// Lazy availability generation: the per-slave AvailabilityCursor must be
-// indistinguishable from a fully materialized AvailabilityProfile of the
-// same realization — same span stream, same next_offline_after answers,
-// same run_work arithmetic — while holding only a bounded window. The
-// engine-level half runs identical scenarios with
-// EngineOptions::availability (materialized via generate_availability_
-// forked) vs EngineOptions::lazy_availability and requires bit-identical
-// schedules and traces.
+// AvailabilityCursor, the engine's one view of a slave's timeline: under
+// either backing (a lazy per-slave stream, or a materialized profile read
+// in place) it must be indistinguishable from AvailabilityProfile's
+// whole-timeline queries on the same realization — same span stream, same
+// next_offline_after answers, same run_work arithmetic. The engine-level
+// half runs identical scenarios with EngineOptions::availability
+// (materialized via generate_availability_forked) vs
+// EngineOptions::lazy_availability and requires bit-identical schedules
+// and traces, and checks that the validator judges lazy runs against their
+// realization.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +15,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
+#include "core/validator.hpp"
 #include "experiments/campaign.hpp"
 #include "platform/availability.hpp"
 #include "platform/availability_stream.hpp"
@@ -54,52 +58,104 @@ TEST(AvailabilityCursor, DefaultConstructedIsTrivial) {
   EXPECT_DOUBLE_EQ(run.end, 5.0);
 }
 
-// The cursor's windowed next_offline_after/run_work must answer exactly
-// like AvailabilityProfile's whole-timeline implementations, when driven
-// with the engine's access pattern: monotone queries interleaved with
-// advance() as time passes each span.
+// Drives `cursor` with the engine's access pattern — monotone queries
+// interleaved with advance() as time passes each span — and requires its
+// next_offline_after/run_work answers, and the span stream it walks, to
+// equal `profile`'s whole-timeline implementations.
+void expect_matches_profile(AvailabilityCursor cursor,
+                            const AvailabilityProfile& profile,
+                            core::Time horizon, double max_step,
+                            std::uint64_t query_seed,
+                            const std::string& label) {
+  ASSERT_EQ(cursor.trivial(), profile.trivial()) << label;
+  util::Rng query_rng(query_seed);
+  std::vector<AvailabilitySpan> walked;
+  core::Time now = 0.0;
+  while (now < horizon * 1.2) {
+    // Apply every span whose time has come, exactly like
+    // process_avail_transitions does.
+    while (cursor.next_begin() <= now) walked.push_back(cursor.advance());
+    const auto cursor_off = cursor.next_offline_after(now);
+    const auto profile_off = profile.next_offline_after(now);
+    ASSERT_EQ(cursor_off.has_value(), profile_off.has_value())
+        << label << " at t=" << now;
+    if (cursor_off.has_value()) {
+      ASSERT_EQ(*cursor_off, *profile_off) << label << " at t=" << now;
+    }
+
+    const double work = query_rng.uniform(0.1, 5.0);
+    const core::Time until = now + query_rng.uniform(0.5, 30.0);
+    const auto cw = cursor.run_work(now, work, until);
+    const auto pw = profile.run_work(now, work, until);
+    ASSERT_EQ(cw.completed, pw.completed) << label << " at t=" << now;
+    ASSERT_EQ(cw.end, pw.end) << label << " at t=" << now;
+    ASSERT_EQ(cw.work_done, pw.work_done) << label << " at t=" << now;
+
+    now += query_rng.uniform(0.25, max_step);
+  }
+  while (std::isfinite(cursor.next_begin())) {
+    walked.push_back(cursor.advance());
+  }
+  const std::vector<AvailabilitySpan>& spans = profile.spans();
+  ASSERT_EQ(walked.size(), spans.size()) << label;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(walked[i].begin, spans[i].begin) << label << " span " << i;
+    EXPECT_EQ(walked[i].online, spans[i].online) << label << " span " << i;
+    EXPECT_EQ(walked[i].speed, spans[i].speed) << label << " span " << i;
+  }
+}
+
+// Both backings against the profile oracle: lazy streams and profile
+// cursors over their forked realizations, profile cursors over
+// generate_availability's shared-stream profiles, and hand-built edge
+// profiles.
 TEST(AvailabilityCursor, QueriesMatchMaterializedProfileUnderEngineDiscipline) {
+  const int slaves = 3;
   for (const AvailabilityModel model : kModels) {
     for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
       const LazyAvailabilitySpec spec = make_spec(model, seed);
-      const int slaves = 3;
-      const std::vector<AvailabilityProfile> profiles =
+      const std::vector<AvailabilityProfile> forked =
           generate_availability_forked(spec, slaves);
+      util::Rng shared_rng(seed);
+      const std::vector<AvailabilityProfile> shared = generate_availability(
+          model, slaves, spec.mtbf, spec.outage_frac, spec.horizon,
+          shared_rng);
       for (int j = 0; j < slaves; ++j) {
         const std::string label = "model " + to_string(model) + " seed " +
                                   std::to_string(seed) + " slave " +
                                   std::to_string(j);
-        const AvailabilityProfile& profile = profiles[j];
-        AvailabilityCursor cursor(spec, j);
-        util::Rng query_rng(seed * 31 + static_cast<std::uint64_t>(j));
-
-        core::Time now = 0.0;
-        while (now < spec.horizon * 1.2) {
-          // Apply every span whose time has come, exactly like
-          // process_avail_transitions does.
-          while (std::isfinite(cursor.next_begin()) &&
-                 cursor.next_begin() <= now) {
-            cursor.advance();
-          }
-          const auto cursor_off = cursor.next_offline_after(now);
-          const auto profile_off = profile.next_offline_after(now);
-          ASSERT_EQ(cursor_off.has_value(), profile_off.has_value())
-              << label << " at t=" << now;
-          if (cursor_off.has_value()) {
-            ASSERT_EQ(*cursor_off, *profile_off) << label << " at t=" << now;
-          }
-
-          const double work = query_rng.uniform(0.1, 5.0);
-          const core::Time until = now + query_rng.uniform(0.5, 30.0);
-          const auto cw = cursor.run_work(now, work, until);
-          const auto pw = profile.run_work(now, work, until);
-          ASSERT_EQ(cw.completed, pw.completed) << label << " at t=" << now;
-          ASSERT_EQ(cw.end, pw.end) << label << " at t=" << now;
-          ASSERT_EQ(cw.work_done, pw.work_done) << label << " at t=" << now;
-
-          now += query_rng.uniform(0.25, 8.0);
-        }
+        const std::uint64_t query_seed =
+            seed * 31 + static_cast<std::uint64_t>(j);
+        expect_matches_profile(AvailabilityCursor(spec, j), forked[j],
+                               spec.horizon, 8.0, query_seed,
+                               "lazy " + label);
+        expect_matches_profile(AvailabilityCursor(forked[j]), forked[j],
+                               spec.horizon, 8.0, query_seed,
+                               "forked profile " + label);
+        expect_matches_profile(AvailabilityCursor(shared[j]), shared[j],
+                               spec.horizon, 8.0, query_seed,
+                               "shared profile " + label);
       }
+    }
+  }
+
+  const std::pair<const char*, AvailabilityProfile> edges[] = {
+      {"empty", AvailabilityProfile()},
+      {"offline at t=0",
+       AvailabilityProfile({{0.0, false, 1.0}, {3.0, true, 0.8},
+                            {6.5, false, 0.8}, {7.0, true, 1.2}})},
+      {"drift only",
+       AvailabilityProfile({{0.5, true, 0.6}, {2.0, true, 1.4},
+                            {2.25, true, 0.9}, {9.0, true, 1.1}})},
+      {"single speed span", AvailabilityProfile({{4.0, true, 0.7}})},
+      {"single offline span", AvailabilityProfile({{4.0, false, 1.0}})},
+  };
+  for (const auto& [name, profile] : edges) {
+    for (std::uint64_t seed : {2ULL, 5ULL, 11ULL}) {
+      expect_matches_profile(AvailabilityCursor(profile), profile, 12.0, 1.5,
+                             seed,
+                             std::string(name) + " seed " +
+                                 std::to_string(seed));
     }
   }
 }
@@ -249,6 +305,87 @@ TEST(AvailabilityStreamEngine, MaterializedAndLazyAreMutuallyExclusive) {
   const auto policy = algorithms::make_scheduler("LS");
   EXPECT_THROW(core::OnePortEngine(plat, *policy, options),
                std::invalid_argument);
+}
+
+// The validator must judge a lazy run against the realization the engine
+// drew — stream lazy_stream_ids[j] for slave j — not as a static platform.
+struct LazyRun {
+  platform::Platform plat;
+  core::Workload work;
+  core::EngineOptions options;
+  core::Schedule schedule;
+};
+
+LazyRun run_lazy(AvailabilityModel model, std::vector<core::SlaveId> ids) {
+  util::Rng rng(3);
+  LazyRun run{platform::PlatformGenerator().generate(
+                  PlatformClass::kFullyHeterogeneous, 5, rng),
+              {}, {}, {}};
+  const double rate = 0.9 * experiments::max_throughput(run.plat);
+  run.work = core::Workload::poisson(300, rate, rng);
+  run.options.lazy_availability = make_spec(model, 3, 20.0, 0.2, 2000.0);
+  run.options.lazy_stream_ids = std::move(ids);
+  const auto policy = algorithms::make_scheduler("LS");
+  core::OnePortEngine engine(run.plat, *policy, run.options);
+  engine.load(run.work);
+  engine.run_to_completion();
+  run.schedule = engine.take_schedule();
+  return run;
+}
+
+bool mentions(const std::vector<std::string>& violations, const char* word) {
+  for (const std::string& v : violations) {
+    if (v.find(word) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(AvailabilityStreamValidator, LazyRunsValidateAgainstTheirStreams) {
+  const std::pair<AvailabilityModel, std::vector<core::SlaveId>> cases[] = {
+      {AvailabilityModel::kDrift, {}},
+      {AvailabilityModel::kDrift, {9, 4, 12, 0, 7}},  // shard-style re-keying
+      {AvailabilityModel::kChurn, {}},
+  };
+  for (const auto& [model, ids] : cases) {
+    const std::string label =
+        to_string(model) + (ids.empty() ? " identity" : " re-keyed");
+    const LazyRun run = run_lazy(model, ids);
+    const auto violations =
+        core::validate(run.plat, run.work, run.schedule, run.options);
+    EXPECT_TRUE(violations.empty())
+        << label << ": " << violations.size() << " violations, first: "
+        << violations.front();
+    if (!ids.empty()) {
+      // The same schedule checked against identity keying sees other speeds.
+      core::EngineOptions identity = run.options;
+      identity.lazy_stream_ids.clear();
+      EXPECT_TRUE(mentions(
+          core::validate(run.plat, run.work, run.schedule, identity), "work"))
+          << label;
+    }
+  }
+}
+
+TEST(AvailabilityStreamValidator, LazyChurnRunIsCheckedForOfflineCompute) {
+  // Shift one record, durations intact, into an outage of its slave: the
+  // offline-compute check must run under lazy churn and catch it.
+  const LazyRun run = run_lazy(AvailabilityModel::kChurn, {});
+  std::vector<core::TaskRecord> records = run.schedule.records();
+  core::TaskRecord& r = records.front();
+  const std::optional<core::Time> down =
+      generate_availability_forked(run.options.lazy_availability,
+                                   run.plat.size())[r.slave]
+          .next_offline_after(r.comp_start);
+  ASSERT_TRUE(down.has_value());
+  const core::Time delta = *down + 1e-3 - r.comp_start;
+  r.send_start += delta;
+  r.send_end += delta;
+  r.comp_start += delta;
+  r.comp_end += delta;
+  core::Schedule tampered;
+  for (const core::TaskRecord& record : records) tampered.add(record);
+  EXPECT_TRUE(mentions(
+      core::validate(run.plat, run.work, tampered, run.options), "offline"));
 }
 
 }  // namespace

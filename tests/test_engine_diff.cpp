@@ -405,7 +405,7 @@ TEST_P(EngineDiffScale, CalendarMatchesHeapAtFleetScale) {
       Workload::bursty(c.tasks, c.tasks / 64 + 1, 1.0 / rate, rng);
 
   EngineOptions heap_options;
-  heap_options.event_queue = EventQueueChoice::kHeap;
+  heap_options.event_queue = EventQueueImpl::kHeap;
   heap_options.scalar_probes = true;
   if (c.churn) {
     const Time horizon = 1.5 * static_cast<Time>(c.tasks) / rate;
@@ -414,7 +414,7 @@ TEST_P(EngineDiffScale, CalendarMatchesHeapAtFleetScale) {
         horizon, rng);
   }
   EngineOptions calendar_options = heap_options;
-  calendar_options.event_queue = EventQueueChoice::kCalendar;
+  calendar_options.event_queue = EventQueueImpl::kCalendar;
   calendar_options.scalar_probes = (GetParam() % 2 == 1);
 
   const auto policy_e = algorithms::make_scheduler(c.policy);
