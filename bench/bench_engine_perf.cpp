@@ -3,25 +3,32 @@
 // SLJF planner. These are the knobs that bound campaign turnaround.
 //
 // --json[=FILE] bypasses google-benchmark and runs a reduced self-timed
-// pass (engine events/sec per policy, including a meta spec), writing
-// machine-readable BENCH_engine.json for CI artifact upload.
+// pass (engine events/sec per policy, including a meta spec; ms per
+// SLJF/SLJFWC plan per platform class against the frozen reference
+// planner), writing machine-readable BENCH_engine.json for CI artifact
+// upload.
 
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
+#include "core/rank_kernel.hpp"
 #include "core/reference_engine.hpp"
 #include "experiments/campaign.hpp"
 #include "offline/deadline_solver.hpp"
 #include "offline/exhaustive.hpp"
 #include "platform/generator.hpp"
+#include "support/deadline_solver_reference.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -204,6 +211,65 @@ SelfTimed events_per_sec(const char* policy, int m, int n, int reps) {
   return out;
 }
 
+/// Wall milliseconds per plan: median, p10 and p90 over `reps` plans,
+/// for the production planner and the frozen reference on one instance.
+struct PlannerTimed {
+  double ms = 0.0, ms_p10 = 0.0, ms_p90 = 0.0;
+  double reference_ms = 0.0;
+  bool identical = true;
+};
+
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
+                                    0.5)];
+}
+
+/// One SLJF or SLJFWC plan of `n` tasks released together (what the
+/// on-line wrapper plans at its first decision) on a `cls` platform of `m`
+/// slaves. Production and reference runs alternate so host drift hits both
+/// alike; every production plan is also checked against the reference.
+PlannerTimed ms_per_plan(bool comm_aware, platform::PlatformClass cls, int m,
+                         int n, int reps) {
+  util::Rng rng(42);
+  const platform::Platform plat =
+      platform::PlatformGenerator().generate(cls, m, rng);
+  const std::vector<core::Time> releases(static_cast<std::size_t>(n), 0.0);
+  const auto plan = comm_aware ? offline::sljfwc_plan : offline::sljf_plan;
+  const auto reference = comm_aware ? offline::sljfwc_plan_reference
+                                    : offline::sljf_plan_reference;
+  auto timed = [&](auto planner, offline::OfflinePlan& out) {
+    const auto start = std::chrono::steady_clock::now();
+    out = planner(plat, releases);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  std::vector<double> ms, reference_ms;
+  PlannerTimed out;
+  for (int r = 0; r < reps; ++r) {
+    offline::OfflinePlan got, want;
+    ms.push_back(timed(plan, got));
+    reference_ms.push_back(timed(reference, want));
+    out.identical = out.identical && got.assignment == want.assignment &&
+                    got.makespan == want.makespan;
+  }
+  out.ms = quantile(ms, 0.5);
+  out.ms_p10 = quantile(ms, 0.1);
+  out.ms_p90 = quantile(ms, 0.9);
+  out.reference_ms = quantile(reference_ms, 0.5);
+  return out;
+}
+
+std::string host_json() {
+  const char* simd = core::rank_kernel_avx512_available() ? "avx512"
+                     : core::rank_kernel_simd_available() ? "avx2"
+                                                          : "scalar";
+  return "{\"cores\":" +
+         std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
+         ",\"simd\":\"" + simd + "\"}";
+}
+
 int run_json(const std::string& path) {
   struct Case {
     const char* policy;
@@ -220,7 +286,7 @@ int run_json(const std::string& path) {
       {"hedge:LS;rank:queue+window:12+hyst:2", 8, 1000, 3},
   };
   std::string json = "{\"bench\":\"engine_perf\",\"unit\":\"events/sec\","
-                     "\"cases\":[";
+                     "\"host\":" + host_json() + ",\"cases\":[";
   bool first = true;
   for (const Case& c : cases) {
     const SelfTimed timed = events_per_sec(c.policy, c.slaves, c.tasks, c.reps);
@@ -240,6 +306,45 @@ int run_json(const std::string& path) {
               << timed.events_per_sec << " events/sec (setup "
               << timed.setup_sec << " s, peak RSS " << usage.ru_maxrss
               << " kb)\n";
+  }
+  // Planner rows: one SLJF and one SLJFWC plan per platform class at the
+  // paper's Figure-1 size; baseline_ratio = reference ms / production ms.
+  constexpr int kPlanSlaves = 5, kPlanTasks = 1000, kPlanReps = 15;
+  json += "],\"planner_cases\":[";
+  first = true;
+  bool identical = true;
+  for (const bool comm_aware : {false, true}) {
+    for (const platform::PlatformClass cls :
+         {platform::PlatformClass::kFullyHomogeneous,
+          platform::PlatformClass::kCommHomogeneous,
+          platform::PlatformClass::kCompHomogeneous,
+          platform::PlatformClass::kFullyHeterogeneous}) {
+      const char* planner = comm_aware ? "SLJFWC" : "SLJF";
+      const PlannerTimed t =
+          ms_per_plan(comm_aware, cls, kPlanSlaves, kPlanTasks, kPlanReps);
+      identical = identical && t.identical;
+      const double ratio = t.ms > 0.0 ? t.reference_ms / t.ms : 0.0;
+      if (!first) json += ',';
+      first = false;
+      json += "{\"planner\":\"" + std::string(planner) + "\"";
+      json += ",\"class\":\"" + platform::to_string(cls) + "\"";
+      json += ",\"slaves\":" + std::to_string(kPlanSlaves);
+      json += ",\"tasks\":" + std::to_string(kPlanTasks);
+      json += ",\"reps\":" + std::to_string(kPlanReps);
+      json += ",\"ms_per_plan\":" + std::to_string(t.ms);
+      json += ",\"ms_per_plan_p10\":" + std::to_string(t.ms_p10);
+      json += ",\"ms_per_plan_p90\":" + std::to_string(t.ms_p90);
+      json += ",\"reference_ms_per_plan\":" + std::to_string(t.reference_ms);
+      json += ",\"baseline_ratio\":" + std::to_string(ratio) + "}";
+      std::cout << planner << " " << platform::to_string(cls) << " m="
+                << kPlanSlaves << " n=" << kPlanTasks << ": " << t.ms << " ms/plan (p10 " << t.ms_p10
+                << ", p90 " << t.ms_p90 << "; reference " << t.reference_ms
+                << " ms, x" << ratio << ")\n";
+    }
+  }
+  if (!identical) {
+    std::cerr << "bench_engine_perf: planner differs from the reference\n";
+    return 1;
   }
   json += "]}";
   std::ofstream out(path);

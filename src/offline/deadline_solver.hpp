@@ -37,7 +37,7 @@ struct OfflinePlan {
 /// differences (this is the behaviour Figure 1(c) punishes): it plans with
 /// the *average* c and relies on the engine's actual timing at run time.
 ///
-/// `releases` must be sorted ascending (Workload order).
+/// `releases` must be finite and sorted ascending (Workload order).
 OfflinePlan sljf_plan(const platform::Platform& platform,
                       const std::vector<core::Time>& releases);
 
@@ -54,5 +54,25 @@ OfflinePlan sljf_plan(const platform::Platform& platform,
 /// on fully heterogeneous ones.
 OfflinePlan sljfwc_plan(const platform::Platform& platform,
                         const std::vector<core::Time>& releases);
+
+// Cost model (n sends, m slaves). Both planners bisect M over at most 100
+// feasibility checks, and stop as soon as the midpoint rounds onto an
+// endpoint (the interval is then a fixed point; typically ~58 checks).
+// A check allocates nothing: one per-plan set of buffers serves every
+// check, and it returns at the first send that misses its deadline.
+//  - SLJF check: O(n log m) heap pops; the final, order-producing check
+//    adds one O(n log n) sort.
+//  - SLJFWC check: one or two O(n m) backward passes. The count-move local
+//    search then rebuilds each candidate's send order by an O(n m) merge of
+//    the per-slave chains (std::sort when deadlines tie) and replays it
+//    only until its running makespan can no longer beat the incumbent.
+// The planner runs once per SLJF/SLJFWC run, at its first decision.
+//
+// Contract: plans are bit-identical — assignment and makespan — to the
+// frozen reference planners in tests/support/deadline_solver_reference.cpp;
+// tests/test_deadline_solver_diff.cpp sweeps that equality over platform
+// classes, tie platforms, slave and task counts and release patterns.
+// Releases must be finite (std::invalid_argument naming the index
+// otherwise) and sorted ascending.
 
 }  // namespace msol::offline

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/validator.hpp"
 #include "offline/deadline_solver.hpp"
 #include "offline/exhaustive.hpp"
@@ -31,6 +35,62 @@ TEST(SljfPlan, SingleTaskGoesToAFastEnoughSlave) {
 TEST(SljfPlan, RejectsUnsortedReleases) {
   const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
   EXPECT_THROW(sljf_plan(plat, {1.0, 0.0}), std::invalid_argument);
+}
+
+/// Expects `fn` to throw std::invalid_argument whose message names
+/// release `index`.
+template <typename Fn>
+void expect_rejects_release(Fn fn, std::size_t index) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("release " + std::to_string(index)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SljfPlan, RejectsNonFiniteReleases) {
+  const Platform plat({SlaveSpec{1.0, 3.0}, SlaveSpec{1.0, 7.0}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // {NaN, 0} passes the sortedness check (NaN compares false both ways),
+  // so only the finiteness check stops it from yielding a plan.
+  expect_rejects_release([&] { sljf_plan(plat, {nan, 0.0}); }, 0);
+  expect_rejects_release([&] { sljf_plan(plat, {0.0, nan}); }, 1);
+  // {0, inf} would otherwise plan to an infinite makespan.
+  expect_rejects_release([&] { sljf_plan(plat, {0.0, inf}); }, 1);
+  expect_rejects_release([&] { sljf_plan(plat, {-inf, 0.0}); }, 0);
+}
+
+TEST(SljfwcPlan, RejectsNonFiniteReleases) {
+  const Platform plat({SlaveSpec{0.5, 3.0}, SlaveSpec{1.0, 7.0}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // {0, NaN} makes every chain deadline NaN: the backward argmax would
+  // pick no slave at all.
+  expect_rejects_release([&] { sljfwc_plan(plat, {0.0, nan}); }, 1);
+  expect_rejects_release([&] { sljfwc_plan(plat, {nan, 0.0}); }, 0);
+  expect_rejects_release([&] { sljfwc_plan(plat, {0.0, inf}); }, 1);
+}
+
+TEST(SljfwcPlan, UnselectableSlavesFailLoudly) {
+  // An infinite p_j passes Platform's positivity check but makes every
+  // chain deadline NaN (M = inf, inf - inf): the backward construction
+  // must report that instead of reading slave -1.
+  const double inf = std::numeric_limits<double>::infinity();
+  const Platform plat({SlaveSpec{1.0, inf}});
+  try {
+    sljfwc_plan(plat, {0.0});
+    ADD_FAILURE() << "expected std::logic_error";
+  } catch (const std::invalid_argument& e) {
+    ADD_FAILURE() << "unexpected invalid_argument: " << e.what();
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no slave selectable"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SljfPlan, TheoremOnePlatformThreeTasks) {
