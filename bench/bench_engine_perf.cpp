@@ -23,7 +23,7 @@
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
 #include "core/rank_kernel.hpp"
-#include "core/reference_engine.hpp"
+#include "support/reference_engine.hpp"
 #include "experiments/campaign.hpp"
 #include "offline/deadline_solver.hpp"
 #include "offline/exhaustive.hpp"

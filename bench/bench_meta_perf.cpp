@@ -1,7 +1,7 @@
 // Meta-policy decision throughput: the delta-driven incremental projection
 // path (persistent IncrementalProjection + stamp memo + gather-form SIMD
-// probes, the default since the incremental engine landed) vs the retained
-// rebuild-every-decision baseline (MetaOptions::rebuild_projections). Every
+// probes) vs the rebuild-every-decision baseline frozen in test support
+// (RebuildPortfolioPolicy, tests/support/engine_projection.hpp). Every
 // row runs the IDENTICAL (platform, workload, spec) through both paths —
 // decisions are byte-identical (pinned by tests/test_meta_incremental.cpp),
 // so the ratio is pure evaluation cost.
@@ -11,9 +11,9 @@
 // speedup ratio, and the incremental path's projection accounting — how
 // many syncs replayed the delta log (resync) vs re-snapshotted the engine
 // (rebuild), plus the member forward-sims skipped by the stamp memo.
-// Hedge rows run members directly on the live view (no projections): their
-// columns pin the option plumbing as overhead-free rather than measure a
-// projection gap.
+// Hedge rows run members directly on the live view (no projections), so
+// both columns time the same HedgePolicy: they measure run-to-run noise
+// rather than a projection gap.
 //
 // Modes (the bench_fleet_scale conventions):
 //   (no args)            full-scale table to stdout
@@ -28,6 +28,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "core/rank_kernel.hpp"
 #include "experiments/campaign.hpp"
 #include "platform/generator.hpp"
+#include "support/engine_projection.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -89,11 +91,16 @@ struct RowResult {
 PathResult best_decisions_per_sec(const platform::Platform& plat,
                                   const core::Workload& work,
                                   const algorithms::meta::MetaSpec& spec,
-                                  bool rebuild_projections, int reps) {
+                                  bool rebuild, int reps) {
   PathResult out;
   for (int r = 0; r < reps; ++r) {
-    const auto policy = algorithms::meta::make_meta_policy(
-        spec, algorithms::meta::MetaOptions{rebuild_projections});
+    std::unique_ptr<core::OnlineScheduler> policy;
+    if (rebuild && spec.kind == algorithms::meta::MetaKind::kPortfolio) {
+      policy =
+          std::make_unique<algorithms::meta::RebuildPortfolioPolicy>(spec);
+    } else {
+      policy = algorithms::meta::make_meta_policy(spec);
+    }
     const auto start = std::chrono::steady_clock::now();
     g_sink = core::simulate(plat, work, *policy).makespan();
     const std::chrono::duration<double> elapsed =
@@ -110,6 +117,10 @@ PathResult best_decisions_per_sec(const platform::Platform& plat,
         out.resyncs = portfolio->projection()->resyncs();
         out.rebuilds = portfolio->projection()->rebuilds();
       }
+    } else if (const auto* baseline = dynamic_cast<
+                   const algorithms::meta::RebuildPortfolioPolicy*>(
+                   policy.get())) {
+      decisions = baseline->decisions();
     }
     out.decisions = decisions;
     if (elapsed.count() > 0.0) {
@@ -143,10 +154,10 @@ RowResult run_row(const Row& row) {
                       .count();
 
   out.incremental = best_decisions_per_sec(plat, work, spec,
-                                           /*rebuild_projections=*/false,
+                                           /*rebuild=*/false,
                                            row.reps);
   out.rebuild = best_decisions_per_sec(plat, work, spec,
-                                       /*rebuild_projections=*/true, row.reps);
+                                       /*rebuild=*/true, row.reps);
   out.rss_peak_kb = peak_rss_kb();
   return out;
 }

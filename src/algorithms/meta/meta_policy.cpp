@@ -14,8 +14,8 @@ namespace msol::algorithms::meta {
 // PortfolioPolicy
 // ---------------------------------------------------------------------------
 
-PortfolioPolicy::PortfolioPolicy(MetaSpec spec, MetaOptions options)
-    : MetaPolicy(std::move(spec)), options_(options) {
+PortfolioPolicy::PortfolioPolicy(MetaSpec spec)
+    : MetaPolicy(std::move(spec)) {
   if (spec_.kind != MetaKind::kPortfolio) {
     throw std::invalid_argument("PortfolioPolicy: spec is not portfolio:");
   }
@@ -39,46 +39,21 @@ static std::uint64_t member_eval_seed(const PolicySpec& member, int index,
       .child_seed(static_cast<std::uint64_t>(decisions));
 }
 
-core::Decision PortfolioPolicy::decide_rebuild(const core::EngineView& engine,
-                                               int horizon) {
-  // Legacy evaluation: each member is rebuilt per decision and simulated on
-  // its own fresh projection of the live view. Retained behind
-  // MetaOptions::rebuild_projections as the differential baseline the
-  // incremental path below is pinned byte-identical to, and as the fallback
-  // for views that are not OnePortEngine (no delta feed to subscribe to).
-  int best = 0;
-  ProjectionOutcome best_out;
-  for (int i = 0; i < static_cast<int>(spec_.members.size()); ++i) {
-    PolicySpec member = spec_.members[static_cast<std::size_t>(i)];
-    member.seed = member_eval_seed(member, i, decisions_);
-    ComposedPolicy policy(member);
-    EngineProjection projection(engine);
-    const ProjectionOutcome out = projection.run(policy, horizon);
-    if (i == 0 || out.commits > best_out.commits ||
-        (out.commits == best_out.commits &&
-         out.makespan < best_out.makespan - core::kTimeEps)) {
-      best = i;
-      best_out = out;
-    }
-  }
-  if (last_choice_ >= 0 && best != last_choice_) ++switches_;
-  last_choice_ = best;
-  ++decisions_;
-  return best_out.first;
-}
-
 core::Decision PortfolioPolicy::decide(const core::EngineView& engine) {
+  const auto* live = dynamic_cast<const core::OnePortEngine*>(&engine);
+  if (live == nullptr) {
+    throw std::logic_error(
+        "PortfolioPolicy '" + name_ +
+        "': decide() needs a live OnePortEngine view (the projection "
+        "subscribes to its delta feed)");
+  }
   const int horizon = std::min(spec_.horizon, engine.pending_count());
-  const auto* live = options_.rebuild_projections
-                         ? nullptr
-                         : dynamic_cast<const core::OnePortEngine*>(&engine);
-  if (live == nullptr) return decide_rebuild(engine, horizon);
 
-  // Incremental path: one persistent delta-synced projection shared by all
-  // members, cached member policies reseeded per evaluation (reseed ==
-  // fresh construction for decide(), see ComposedPolicy::reseed), and a
-  // stamp memo that skips deterministic members when nothing observable
-  // changed since the previous consult.
+  // One persistent delta-synced projection shared by all members, cached
+  // member policies reseeded per evaluation (reseed == fresh construction
+  // for decide(), see ComposedPolicy::reseed), and a stamp memo that skips
+  // deterministic members when nothing observable changed since the
+  // previous consult.
   if (!incremental_ || incremental_->engine() != live) {
     incremental_ = std::make_unique<IncrementalProjection>(*live);
     memo_key_.valid = false;
@@ -192,14 +167,11 @@ void HedgePolicy::reset() {
 
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<core::OnlineScheduler> make_meta_policy(const MetaSpec& spec,
-                                                        MetaOptions options) {
+std::unique_ptr<core::OnlineScheduler> make_meta_policy(const MetaSpec& spec) {
   switch (spec.kind) {
     case MetaKind::kPortfolio:
-      return std::make_unique<PortfolioPolicy>(spec, options);
+      return std::make_unique<PortfolioPolicy>(spec);
     case MetaKind::kHedge:
-      // Hedge members run directly on the live view (no projections), so
-      // the options carry nothing for them yet.
       return std::make_unique<HedgePolicy>(spec);
   }
   throw std::invalid_argument("make_meta_policy: unknown meta kind");

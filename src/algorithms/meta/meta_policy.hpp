@@ -13,18 +13,6 @@
 
 namespace msol::algorithms::meta {
 
-/// Construction-time knobs for meta policies (not part of the MetaSpec
-/// mini-language: they change how a spec is *evaluated*, never what it
-/// means — every option value must produce byte-identical decisions).
-struct MetaOptions {
-  /// Differential baseline: rebuild a fresh EngineProjection per (member,
-  /// decision) — the pre-incremental evaluation path — instead of resyncing
-  /// the persistent delta-driven IncrementalProjection.
-  /// tests/test_meta_incremental.cpp pins both paths byte-identical
-  /// end-to-end; bench_meta_perf measures the gap.
-  bool rebuild_projections = false;
-};
-
 /// Base of the meta layer: a scheduler assembled from a MetaSpec that may
 /// switch between member compositions mid-run. Campaigns dynamic_cast to
 /// this to collect the `switches` summary the result sinks report.
@@ -49,31 +37,31 @@ class MetaPolicy : public core::OnlineScheduler {
 };
 
 /// portfolio:<spec>;...+horizon:<h> — at every decision point each member
-/// spec is forward-simulated on an EngineProjection of the live view for up
-/// to `horizon` commits, and the member with the best projection (most
+/// spec is forward-simulated on a projection of the live engine for up to
+/// `horizon` commits, and the member with the best projection (most
 /// commits, then lowest projected makespan, ties to the lowest index)
 /// supplies the committed decision.
 ///
-/// Each member evaluation is a pure function of the snapshot; a tie:rng
-/// member's stream is derived counter-style — fork(member index) off its
-/// spec seed, then the decision ordinal — so runs are deterministic and
-/// thread-count independent.
+/// Each member evaluation is a pure function of the engine state; a
+/// tie:rng member's stream is derived counter-style — fork(member index)
+/// off its spec seed, then the decision ordinal — so runs are deterministic
+/// and thread-count independent.
 ///
-/// Evaluation is delta-driven on live OnePortEngine views (the only view
-/// the engine hands schedulers in production runs): one persistent
-/// IncrementalProjection subscribes to the engine's delta feed, sync()
-/// patches it forward per decision, and the cached member policies are
-/// reseeded (not reconstructed) per evaluation. A memo layer keeps each
-/// member's last outcome keyed by the engine's change stamps and skips the
-/// forward-sim outright when nothing observable moved between two consults
-/// (rng-tied members are always re-simulated: their stream position is part
-/// of the evaluation). Non-engine views (tests' fakes), and every view when
-/// MetaOptions::rebuild_projections is set, take the legacy fresh-snapshot
-/// loop — decisions are byte-identical either way (pinned by
-/// tests/test_meta_incremental.cpp).
+/// Evaluation is delta-driven: one persistent IncrementalProjection
+/// subscribes to the engine's delta feed, sync() patches it forward per
+/// decision, and the cached member policies are reseeded (not
+/// reconstructed) per evaluation. A memo layer keeps each member's last
+/// outcome keyed by the engine's change stamps and skips the forward-sim
+/// outright when nothing observable moved between two consults (rng-tied
+/// members are always re-simulated: their stream position is part of the
+/// evaluation). decide() therefore needs the live OnePortEngine (the only
+/// view the engines hand schedulers, sharded shards included) and throws
+/// std::logic_error naming the spec on any other view. Decisions are pinned
+/// byte-identical to re-snapshotting the view per (member, decision) by
+/// tests/test_meta_incremental.cpp.
 class PortfolioPolicy final : public MetaPolicy {
  public:
-  explicit PortfolioPolicy(MetaSpec spec, MetaOptions options = {});
+  explicit PortfolioPolicy(MetaSpec spec);
 
   core::Decision decide(const core::EngineView& engine) override;
   void reset() override;
@@ -85,21 +73,17 @@ class PortfolioPolicy final : public MetaPolicy {
   long long decisions() const { return decisions_; }
   /// Member forward-sims skipped by the stamp memo this run.
   long long memo_hits() const { return memo_hits_; }
-  /// The persistent projection, when the incremental path is active
-  /// (null before the first decision or on the rebuild baseline) —
+  /// The persistent projection (null before the first decision) —
   /// diagnostics for the bench's resync-vs-rebuild columns.
   const IncrementalProjection* projection() const {
     return incremental_.get();
   }
 
  private:
-  core::Decision decide_rebuild(const core::EngineView& engine, int horizon);
-
-  MetaOptions options_;
   long long decisions_ = 0;
   int last_choice_ = -1;
-  /// Incremental path state: the shared persistent projection and the
-  /// reseed-per-evaluation member cache (see the class comment).
+  /// The shared persistent projection and the reseed-per-evaluation member
+  /// cache (see the class comment).
   std::unique_ptr<IncrementalProjection> incremental_;
   std::vector<std::unique_ptr<ComposedPolicy>> members_;
   std::vector<std::uint8_t> member_uses_rng_;  ///< tie:rng — never memoized
@@ -144,10 +128,7 @@ class HedgePolicy final : public MetaPolicy {
   int active_ = 0;
 };
 
-/// Builds the meta policy a MetaSpec describes (registry hook). The
-/// defaulted options select the incremental evaluation path; the rebuild
-/// baseline is opt-in (benches and the differential tests).
-std::unique_ptr<core::OnlineScheduler> make_meta_policy(
-    const MetaSpec& spec, MetaOptions options = {});
+/// Builds the meta policy a MetaSpec describes (registry hook).
+std::unique_ptr<core::OnlineScheduler> make_meta_policy(const MetaSpec& spec);
 
 }  // namespace msol::algorithms::meta

@@ -1,5 +1,7 @@
 #include "algorithms/meta/meta_spec.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace msol::algorithms::meta {
@@ -24,17 +26,25 @@ namespace {
                               "): " + why);
 }
 
-std::int64_t parse_int_strict(const std::string& token,
-                              const std::string& text,
-                              const std::string& clause, std::size_t offset) {
+/// Strict full-string integer parse; every meta clause lands in an int
+/// field, so values outside int's range are rejected rather than wrapped.
+int parse_int_strict(const std::string& token, const std::string& text,
+                     const std::string& clause, std::size_t offset) {
+  std::int64_t v = 0;
   try {
     std::size_t pos = 0;
-    const std::int64_t v = std::stoll(token, &pos);
+    v = std::stoll(token, &pos);
     if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
   } catch (const std::exception&) {
     fail_clause(text, clause, offset, "bad integer '" + token + "'");
   }
+  if (v > std::numeric_limits<int>::max() ||
+      v < std::numeric_limits<int>::min()) {
+    fail_clause(text, clause, offset,
+                "integer '" + token + "' out of range (max " +
+                    std::to_string(std::numeric_limits<int>::max()) + ")");
+  }
+  return static_cast<int>(v);
 }
 
 bool is_meta_key(const std::string& clause, std::string& key,
@@ -85,21 +95,21 @@ MetaSpec parse_meta_spec(const std::string& text, int lookahead,
                       (for_portfolio ? std::string("portfolio:")
                                      : std::string("hedge:")));
     }
-    const std::int64_t v = parse_int_strict(value, text, clause, offset);
+    const int v = parse_int_strict(value, text, clause, offset);
     if (key == "horizon") {
       if (saw_horizon) fail_clause(text, clause, offset, "duplicate clause");
       if (v < 1) fail_clause(text, clause, offset, "horizon must be >= 1");
-      spec.horizon = static_cast<int>(v);
+      spec.horizon = v;
       saw_horizon = true;
     } else if (key == "window") {
       if (saw_window) fail_clause(text, clause, offset, "duplicate clause");
       if (v < 2) fail_clause(text, clause, offset, "window must be >= 2");
-      spec.window = static_cast<int>(v);
+      spec.window = v;
       saw_window = true;
     } else {
       if (saw_hyst) fail_clause(text, clause, offset, "duplicate clause");
       if (v < 1) fail_clause(text, clause, offset, "hyst must be >= 1");
-      spec.hysteresis = static_cast<int>(v);
+      spec.hysteresis = v;
       saw_hyst = true;
     }
     body.resize(plus);

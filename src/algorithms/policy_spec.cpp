@@ -1,6 +1,8 @@
 #include "algorithms/policy_spec.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -40,16 +42,24 @@ struct ClauseCtx {
 }
 
 /// Strict full-string parses: "2junk" and "" are errors, never silent
-/// prefixes (the legacy LS-K stoi bug this layer replaces).
-std::int64_t parse_int_strict(const std::string& token, const ClauseCtx& ctx) {
+/// prefixes (the legacy LS-K stoi bug this layer replaces), and every
+/// integer clause lands in an int field, so values outside int's range are
+/// rejected rather than wrapped.
+int parse_int_strict(const std::string& token, const ClauseCtx& ctx) {
+  std::int64_t v = 0;
   try {
     std::size_t pos = 0;
-    const std::int64_t v = std::stoll(token, &pos);
+    v = std::stoll(token, &pos);
     if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
   } catch (const std::exception&) {
     fail(ctx, "bad integer '" + token + "'");
   }
+  if (v > std::numeric_limits<int>::max() ||
+      v < std::numeric_limits<int>::min()) {
+    fail(ctx, "integer '" + token + "' out of range (max " +
+                  std::to_string(std::numeric_limits<int>::max()) + ")");
+  }
+  return static_cast<int>(v);
 }
 
 std::uint64_t parse_u64_strict(const std::string& token,
@@ -149,10 +159,10 @@ bool expand_legacy_name(const std::string& token, int lookahead,
     spec.tie = TieKind::kRng;
     spec.eps = 0.15;
   } else if (token.rfind("LS-K", 0) == 0) {
-    const std::int64_t k = parse_int_strict(token.substr(4), ctx);
+    const int k = parse_int_strict(token.substr(4), ctx);
     if (k < 1) fail(ctx, "LS-K cap must be >= 1");
     spec.filter = FilterKind::kThrottle;
-    spec.throttle_k = static_cast<int>(k);
+    spec.throttle_k = k;
     spec.ranker = RankerKind::kCompletion;
   } else {
     return false;
@@ -168,10 +178,10 @@ void apply_filter_clause(const std::vector<std::string>& parts,
     spec.filter = which == "all" ? FilterKind::kAll : FilterKind::kFree;
   } else if (which == "throttle") {
     if (parts.size() != 3) fail(ctx, "filter:throttle needs a cap");
-    const std::int64_t k = parse_int_strict(parts[2], ctx);
+    const int k = parse_int_strict(parts[2], ctx);
     if (k < 1) fail(ctx, "throttle cap must be >= 1");
     spec.filter = FilterKind::kThrottle;
-    spec.throttle_k = static_cast<int>(k);
+    spec.throttle_k = k;
   } else if (which == "quota") {
     if (parts.size() > 3) fail(ctx, "filter:quota takes at most one arg");
     spec.filter = FilterKind::kQuota;
@@ -213,9 +223,9 @@ void apply_rank_clause(const std::vector<std::string>& parts,
       fail(ctx, "unknown planner '" + parts[2] + "'");
     }
     if (parts.size() == 4) {
-      const std::int64_t k = parse_int_strict(parts[3], ctx);
+      const int k = parse_int_strict(parts[3], ctx);
       if (k < 0) fail(ctx, "lookahead must be >= 0");
-      spec.lookahead = static_cast<int>(k);
+      spec.lookahead = k;
     }
     return;
   }
@@ -277,10 +287,10 @@ void apply_gate_clause(const std::vector<std::string>& parts,
     spec.gate = GateKind::kAlways;
   } else if (which == "batch") {
     if (parts.size() != 3) fail(ctx, "gate:batch needs a threshold");
-    const std::int64_t n = parse_int_strict(parts[2], ctx);
+    const int n = parse_int_strict(parts[2], ctx);
     if (n < 1) fail(ctx, "batch threshold must be >= 1");
     spec.gate = GateKind::kBatch;
-    spec.batch_n = static_cast<int>(n);
+    spec.batch_n = n;
   } else if (which == "pace") {
     if (parts.size() != 3) fail(ctx, "gate:pace needs a minimum gap");
     const double dt = parse_double_strict(parts[2], ctx);
@@ -330,9 +340,9 @@ PolicySpec parse_policy_spec(const std::string& text, int lookahead,
     } else if (key == "quota" && parts.size() == 2) {
       apply_filter_clause({"filter", "quota", parts[1]}, ctx, spec);
     } else if (key == "lookahead" && parts.size() == 2) {
-      const std::int64_t k = parse_int_strict(parts[1], ctx);
+      const int k = parse_int_strict(parts[1], ctx);
       if (k < 0) fail(ctx, "lookahead must be >= 0");
-      spec.lookahead = static_cast<int>(k);
+      spec.lookahead = k;
     } else if (key == "eps" && parts.size() == 2) {
       const double theta = parse_double_strict(parts[1], ctx);
       if (theta < 0.0) fail(ctx, "eps must be >= 0");

@@ -440,7 +440,7 @@ void OnePortEngine::commit(TaskId task_id, SlaveId slave) {
   bool doomed = false;
   if (!avail_enabled_) {
     // Original closed-form path: the availability-free arithmetic must stay
-    // bit-identical to ReferenceEngine (test_engine_diff).
+    // bit-identical to the reference engine (test_engine_diff).
     rec.comp_start = std::max(rec.send_end, slave_ready_[js]);
     rec.comp_end = rec.comp_start +
                    platform_->comp(slave) * spec.comp_factor *
@@ -745,7 +745,7 @@ SlaveId OnePortEngine::best_completion_slave(TaskId task) const {
   // loop-invariant send-start hoisted and the per-slave virtual probes
   // flattened into the batched ranking kernel over the engine's dense
   // arrays. test_engine_diff keeps this honest against the default
-  // implementation running on ReferenceEngine.
+  // implementation running on the reference engine.
   const SlaveStateView s = slave_state();
   if (s.empty()) return EngineView::best_completion_slave(task);
   const TaskSpec& spec = task_spec(task);

@@ -81,7 +81,7 @@ struct EngineOptions {
   /// Per-slave availability timelines (outages + speed drift), one profile
   /// per slave, each walked in place by the slave's AvailabilityCursor.
   /// Empty, or all-trivial, keeps the engine on its original closed-form
-  /// path — bit-identical to ReferenceEngine. See the "time-varying
+  /// path — bit-identical to the reference engine. See the "time-varying
   /// availability" block comment below.
   std::vector<platform::AvailabilityProfile> availability;
   /// The on-demand alternative to `availability`: when
@@ -111,7 +111,7 @@ struct EngineOptions {
   /// empty and the batch probes fall back to the generic per-slave virtual
   /// loops. This is the measurable pre-kernel baseline bench_fleet_scale
   /// compares against, and a third triangulation point for the differential
-  /// suite (kernel vs scalar vs ReferenceEngine must all agree).
+  /// suite (kernel vs scalar vs reference engine must all agree).
   bool scalar_probes = false;
 };
 
@@ -144,7 +144,8 @@ struct DisruptionStats {
 /// lazily, while releases keep their sorted cursor and
 /// port frees their capacity-bounded array. Advancing time thus costs O(1)
 /// amortized instead of the O(slaves * log tasks) scan the pre-calendar
-/// engine (retained verbatim as ReferenceEngine) performs at every step.
+/// engine (retained verbatim as the test-support reference engine,
+/// tests/support/reference_engine.hpp) performs at every step.
 /// The pending set is a bucketed FIFO slot index (dense slot vector with
 /// tombstones and per-64-slot live counts), making commit() O(1) where the
 /// reference engine pays an O(pending) find + erase, and letting bulk
@@ -186,8 +187,8 @@ struct DisruptionStats {
 ///    skip offline slaves, deferring when none is available).
 /// The schedule keeps exactly one record per task: its successful attempt.
 /// With all profiles trivial the engine takes its original closed-form path
-/// and stays bit-identical to ReferenceEngine (test_engine_diff enforces
-/// this).
+/// and stays bit-identical to the reference engine (test_engine_diff
+/// enforces this).
 class OnePortEngine final : public EngineView {
  public:
   /// Inert engine; call reset() before any other member.

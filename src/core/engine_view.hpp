@@ -16,11 +16,15 @@ namespace msol::core {
 /// the committed past and the currently released tasks — never future
 /// releases, which is what makes the policies on-line.
 ///
-/// Two engines implement this interface: the production OnePortEngine
-/// (event-calendar driven, see engine.hpp) and the frozen ReferenceEngine
-/// (the original scan-based loop, see reference_engine.hpp). Schedulers are
-/// written against this view so the differential harness in
-/// tests/test_engine_diff.cpp can run the *same* policy on both engines and
+/// Two production classes implement this interface: the OnePortEngine
+/// (event-calendar driven, see engine.hpp) and the meta layer's
+/// IncrementalProjection (algorithms/meta/projection.hpp), which forward-
+/// simulates portfolio members over a mirror of a live engine. Test support
+/// adds the frozen reference engine (the original scan-based loop,
+/// tests/support/reference_engine.hpp) and the fresh-snapshot projection
+/// (tests/support/engine_projection.hpp). Schedulers are written against
+/// this view so the differential harness in tests/test_engine_diff.cpp can
+/// run the *same* policy on the production and reference engines and
 /// require bit-identical schedules and traces.
 class EngineView {
  public:
@@ -36,7 +40,7 @@ class EngineView {
 
   /// True when slave j is reachable right now. Engines without time-varying
   /// availability (the paper's static platforms, and the frozen
-  /// ReferenceEngine) are always-on. Schedulers must skip offline slaves:
+  /// reference engine) are always-on. Schedulers must skip offline slaves:
   /// committing to one throws.
   virtual bool is_available(SlaveId j) const {
     (void)j;
@@ -98,7 +102,7 @@ class EngineView {
   /// slaves[i]) for n candidate slaves. Engines with dense state override
   /// this to hoist the per-task terms (spec lookup, send-start max chain)
   /// out of the loop and run the ranking kernel over their arrays; the
-  /// default is the plain probe loop, which ReferenceEngine keeps so the
+  /// default is the plain probe loop, which the reference engine keeps so the
   /// differential suite pins the override to the scalar semantics.
   virtual void completion_if_assigned_batch(TaskId task, const SlaveId* slaves,
                                             int n, Time* out) const {
@@ -108,7 +112,7 @@ class EngineView {
   /// Structure-of-arrays snapshot of the per-slave probe state, for policy
   /// components that rank every slave at once through the batched kernel
   /// (core/rank_kernel.hpp). Engines that do not maintain dense arrays —
-  /// the frozen ReferenceEngine on purpose — return an empty() view, and
+  /// the frozen reference engine on purpose — return an empty() view, and
   /// callers fall back to the virtual probes; the differential harness runs
   /// both paths against each other. Pointers are valid only until the
   /// engine's next mutation.
@@ -120,7 +124,7 @@ class EngineView {
   /// One interface call instead of one per slave — the production engine
   /// overrides it with a scan over its own state (the send-start term is
   /// loop-invariant), turning LS's inner loop from m virtual probes into
-  /// one. The default is the plain generic loop; ReferenceEngine keeps it,
+  /// one. The default is the plain generic loop; the reference engine keeps it,
   /// so the override cannot drift unnoticed: the differential suite
   /// compares the resulting schedules bit-for-bit.
   virtual SlaveId best_completion_slave(TaskId task) const {

@@ -53,8 +53,8 @@ enum class EventQueueImpl : std::uint8_t { kCalendar, kHeap };
 
 /// The single source of future wake-up instants for the event-driven
 /// engine. Replaces the per-step linear scans over ports, slaves and
-/// per-slave completion lists that the pre-calendar engine (retained as
-/// ReferenceEngine) performs in its next_wakeup().
+/// per-slave completion lists that the pre-calendar engine (retained as the
+/// test-support reference engine) performs in its next_wakeup().
 ///
 /// Contract (all the engine relies on, and all the two implementations
 /// promise): pop() consumes entries in nondecreasing time order, top() is

@@ -14,10 +14,10 @@ namespace msol::core {
 /// fast path.
 ///
 /// An empty() view means the engine cannot expose dense state (the frozen
-/// ReferenceEngine deliberately never does) and callers must fall back to
+/// reference engine deliberately never does) and callers must fall back to
 /// the per-slave virtual probes — which is what keeps the differential
 /// harness honest: the same policy runs kernel-backed on OnePortEngine and
-/// probe-backed on ReferenceEngine, and the schedules must match
+/// probe-backed on the reference engine, and the schedules must match
 /// bit-for-bit.
 struct SlaveStateView {
   const Time* comm = nullptr;           ///< c_j (nominal port seconds)

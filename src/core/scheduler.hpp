@@ -39,7 +39,8 @@ using Decision = std::variant<Assign, Defer, WaitUntil>;
 /// interface — never future releases, which is what makes it on-line.
 /// Policies take the abstract view (not a concrete engine) so the same
 /// instance can drive both the event-calendar OnePortEngine and the frozen
-/// ReferenceEngine the differential tests compare against.
+/// reference engine the differential tests compare against (a test-support
+/// oracle, tests/support/reference_engine.hpp).
 class OnlineScheduler {
  public:
   virtual ~OnlineScheduler() = default;

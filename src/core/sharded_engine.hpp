@@ -55,11 +55,6 @@ struct ShardedEngineOptions {
   /// the shards independently, and least-loaded synchronizes on a barrier
   /// at every release epoch before any shard state is read.
   int shard_threads = 1;
-  /// Differential baseline for the incremental least-loaded router: route
-  /// by the original per-injection O(K) engine scan instead of the cached
-  /// load records. Semantics are pinned identical by test_sharded.cpp's
-  /// equivalence shard; production runs leave this off.
-  bool route_scan = false;
   EngineOptions engine;
 };
 
@@ -94,8 +89,8 @@ using SchedulerFactory = std::function<std::unique_ptr<OnlineScheduler>()>;
 /// virtual probes instead of O(K) per injection — while the comparison
 /// scan keeps the exact shape of the original loop, whose eps-tolerant
 /// port tie-break is not a total order and would drift under any
-/// reordering (ShardedEngineOptions::route_scan retains the original scan
-/// as the differential baseline).
+/// reordering (test_sharded.cpp keeps the original scan as an in-test
+/// oracle and pins the routing to it).
 ///
 /// Semantics vs the unsharded engine: K shards have K master ports and
 /// shard-local pending sets, so for K > 1 this simulates a *federation* of
@@ -169,9 +164,6 @@ class ShardedEngine {
   /// cached load records of shards whose load_stamp() moved, then replay
   /// the original comparison scan over the cache.
   int route_least_loaded(Time t);
-  /// The original per-injection O(K) engine scan (options_.route_scan);
-  /// the differential baseline the routing-equivalence tests compare.
-  int route_least_loaded_scan() const;
   /// Builds merged_schedule_ / merged_trace_ / merged_disruption_.
   void merge();
 

@@ -27,9 +27,10 @@ core::Schedule simulate_assignment(const platform::Platform& platform,
 /// Incremental form of the same one-port FIFO arithmetic: one task is
 /// committed per step(), and the port/slave state is public so callers can
 /// seed it mid-run. simulate_assignment / evaluate_assignment are thin
-/// loops over this class; the meta-policy projections
-/// (algorithms/meta/projection.hpp) seed `master_free` / `slave_ready` from
-/// the live engine's observables and continue the simulation from there.
+/// loops over this class. The meta layer's projection
+/// (algorithms/meta/projection.hpp) inlines the same step over its mirror
+/// of a live engine; its fresh-snapshot test oracle seeds `master_free` /
+/// `slave_ready` from the live observables and continues from there.
 class StepSimulator {
  public:
   explicit StepSimulator(const platform::Platform& platform)

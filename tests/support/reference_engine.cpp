@@ -3,7 +3,7 @@
 // methods differ). It is the oracle the differential fuzz suite compares
 // the event-calendar engine against — keep it boring.
 
-#include "core/reference_engine.hpp"
+#include "support/reference_engine.hpp"
 
 #include <algorithm>
 #include <stdexcept>

@@ -11,7 +11,9 @@
 namespace msol::core {
 
 /// The pre-calendar one-port engine, retained verbatim as the semantic
-/// oracle for the event-driven OnePortEngine.
+/// oracle for the event-driven OnePortEngine. Test support only: linked by
+/// the tests and benches that diff or time against it (msol_test_support),
+/// never by libmsol.
 ///
 /// Its decision loop re-derives every wake-up by scanning all ports, all
 /// slaves and every per-slave completion list, and commit() locates the

@@ -19,7 +19,7 @@
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
-#include "core/reference_engine.hpp"
+#include "support/reference_engine.hpp"
 #include "core/schedule_io.hpp"
 #include "core/sharded_engine.hpp"
 #include "platform/availability.hpp"

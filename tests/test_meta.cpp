@@ -23,6 +23,7 @@
 #include "experiments/spec_fit.hpp"
 #include "offline/forward_sim.hpp"
 #include "platform/generator.hpp"
+#include "support/engine_projection.hpp"
 #include "util/rng.hpp"
 
 namespace msol::algorithms::meta {
@@ -118,6 +119,19 @@ TEST(MetaSpec, RejectsMalformedSpecsWithNamedClauses) {
   expect_parse_error("hedge:LS;SRPT+window:1", {"window must be >= 2"});
   expect_parse_error("hedge:LS;SRPT+hyst:0", {"hyst must be >= 1"});
   expect_parse_error("hedge:LS;SRPT+window:2x", {"bad integer '2x'"});
+  // Every meta integer lands in an int: past INT_MAX is rejected, never
+  // wrapped (horizon:2147483648 once became horizon:-2147483648).
+  expect_parse_error("portfolio:LS;SRPT+horizon:2147483648",
+                     {"clause 'horizon:2147483648'", "out of range"});
+  expect_parse_error("hedge:LS;SRPT+window:4294967298",
+                     {"clause 'window:4294967298'", "out of range"});
+  expect_parse_error("hedge:LS;SRPT+hyst:2147483648",
+                     {"clause 'hyst:2147483648'", "out of range"});
+  expect_parse_error("portfolio:LS-K4294967297;SRPT", {"member 0"});
+  expect_parse_error("portfolio:LS;gate:batch:2147483648+rank:completion",
+                     {"member 1", "out of range"});
+  EXPECT_EQ(parse_meta_spec("portfolio:LS;SRPT+horizon:2147483647").horizon,
+            2147483647);
   // Empty and malformed members carry their index and the base error.
   expect_parse_error("portfolio:LS;;SRPT", {"member 1 is empty"});
   expect_parse_error("portfolio:LS;frobnicate:3", {"member 1"});
@@ -362,6 +376,23 @@ TEST(EngineProjection, OfflineSlavesAreInvisibleToMembers) {
   const ProjectionOutcome out = projection.run(*ls, 1);
   ASSERT_TRUE(std::holds_alternative<core::Assign>(out.first));
   EXPECT_NE(std::get<core::Assign>(out.first).slave, 0);
+}
+
+TEST(PortfolioPolicy, NonEngineViewFailsLoudlyNamingTheSpec) {
+  // The portfolio's projection subscribes to OnePortEngine's delta feed;
+  // any other view is a wiring error, never a silent slow path.
+  FakeView view(three_slaves());
+  view.add_pending(0.0);
+  PortfolioPolicy policy(parse_meta_spec("portfolio:LS;SRPT+horizon:4"));
+  try {
+    policy.decide(view);
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(policy.spec_string()), std::string::npos) << what;
+    EXPECT_NE(what.find("OnePortEngine"), std::string::npos) << what;
+  }
+  EXPECT_EQ(policy.decisions(), 0);
 }
 
 TEST(StepSimulator, SeededStateContinuesTheOnePortArithmetic) {

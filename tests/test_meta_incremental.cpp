@@ -1,8 +1,8 @@
 // Differential shard for the incremental projection engine: the
 // delta-driven evaluation path (persistent IncrementalProjection + stamp
-// memo, the default) must be *byte-identical* end-to-end to the legacy
-// rebuild-every-decision baseline retained behind
-// MetaOptions::rebuild_projections — same schedule records bit for bit,
+// memo) must be *byte-identical* end-to-end to the rebuild-every-decision
+// baseline frozen in test support (RebuildPortfolioPolicy over fresh
+// EngineProjection snapshots) — same schedule records bit for bit,
 // same disruption counters — across regimes {static poisson, bursty,
 // availability churn} x seeds x {2-member, 4-member, tie:rng-member
 // portfolios, hedge}. Plus white-box checks of the resync/rebuild
@@ -34,6 +34,7 @@
 #include "runner/parallel_runner.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/scenario.hpp"
+#include "support/engine_projection.hpp"
 #include "util/rng.hpp"
 
 namespace msol::algorithms::meta {
@@ -101,8 +102,8 @@ struct DiffCase {
 /// Spec coverage: the smallest portfolio, a 4-member portfolio (widest memo
 /// and reseed rotation), a portfolio whose rng-tied member must be
 /// re-simulated every consult (stream position is part of the evaluation),
-/// and a hedge (runs members on the live view — the options must be inert
-/// for it). Regimes: static poisson (resync-only steady state), bursty
+/// and a hedge (runs members on the live view, so both sides build the
+/// same HedgePolicy). Regimes: static poisson (resync-only steady state), bursty
 /// (clustered releases, deep pending mirror), churn (kDisrupt rebuilds and
 /// offline-slave projections).
 constexpr DiffCase kDiffCases[] = {
@@ -154,8 +155,13 @@ DiffRun run_case(const DiffCase& c, std::uint64_t seed, bool rebuild) {
         horizon, avail_rng);
   }
 
-  const auto policy = make_meta_policy(parse_meta_spec(c.spec),
-                                       MetaOptions{rebuild});
+  const MetaSpec spec = parse_meta_spec(c.spec);
+  std::unique_ptr<core::OnlineScheduler> policy;
+  if (rebuild && spec.kind == MetaKind::kPortfolio) {
+    policy = std::make_unique<RebuildPortfolioPolicy>(spec);
+  } else {
+    policy = make_meta_policy(spec);
+  }
   DiffRun out;
   out.schedule = core::simulate(plat, work, *policy, options, &out.disruption);
   return out;
@@ -294,8 +300,8 @@ TEST(PortfolioPolicy, MemoSkipsDeterministicMembersWhenNothingMoved) {
 
   // Memoized or not, the committed decision is the same — and identical to
   // the rebuild baseline consulted at the same frozen instant.
-  PortfolioPolicy baseline(parse_meta_spec("portfolio:LS;SRPT+horizon:4"),
-                           MetaOptions{/*rebuild_projections=*/true});
+  RebuildPortfolioPolicy baseline(
+      parse_meta_spec("portfolio:LS;SRPT+horizon:4"));
   const core::Decision reference = baseline.decide(engine);
   ASSERT_TRUE(std::holds_alternative<core::Assign>(first));
   ASSERT_TRUE(std::holds_alternative<core::Assign>(second));

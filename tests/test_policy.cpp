@@ -169,11 +169,28 @@ TEST(PolicySpec, RejectsMalformedSpecs) {
       "rank:linear:1:0:0:0:0:0",
       "rank:linear:1:0:0:0:x",
       "rank:linear:1:0:0:0:nan",
+      // Integer clauses land in int fields: values past INT_MAX must be
+      // rejected, not wrapped (LS-K4294967297 once ran as throttle:1).
+      "LS-K4294967297",
+      "LS-K2147483648",
+      "filter:throttle:2147483648",
+      "throttle:4294967297",
+      "gate:batch:2147483648+rank:completion",
+      "batch:2147483648",
+      "rank:plan:sljf:2147483648",
+      "lookahead:2147483648",
   };
   for (const std::string& text : bad) {
     EXPECT_THROW(parse_policy_spec(text), std::invalid_argument) << text;
     EXPECT_THROW(make_scheduler(text), std::invalid_argument) << text;
   }
+}
+
+TEST(PolicySpec, IntegerClausesAcceptIntMax) {
+  EXPECT_EQ(parse_policy_spec("LS-K2147483647").throttle_k, 2147483647);
+  EXPECT_EQ(parse_policy_spec("gate:batch:2147483647").batch_n, 2147483647);
+  EXPECT_EQ(parse_policy_spec("rank:plan:sljf:2147483647").lookahead,
+            2147483647);
 }
 
 TEST(PolicySpec, ErrorsNameTheOffendingClauseAndOffset) {
@@ -198,6 +215,10 @@ TEST(PolicySpec, ErrorsNameTheOffendingClauseAndOffset) {
             std::string::npos);
   EXPECT_NE(message_of("LS+frobnicate:3").find("(offset 3)"),
             std::string::npos);
+  const std::string range = message_of("LS+gate:batch:2147483648");
+  EXPECT_NE(range.find("clause 'gate:batch:2147483648'"), std::string::npos)
+      << range;
+  EXPECT_NE(range.find("out of range"), std::string::npos) << range;
   // The first clause sits at offset 0.
   EXPECT_NE(message_of("rank:linear:1:2").find("(offset 0)"),
             std::string::npos);

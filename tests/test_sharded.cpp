@@ -227,16 +227,33 @@ TEST(ShardedEngine, SingleShardIsByteIdenticalToOnePortEngine) {
 
 // --------------------------------------------------- K>1 merged determinism --
 
-/// Runs the sharded engine and returns a canonical text rendering of its
-/// merged views — two runs are "byte-identical" iff these strings match.
+/// Canonical text rendering of one run's schedule, trace and disruption
+/// counters — two runs are "byte-identical" iff these strings match.
+std::string render(const Schedule& schedule, const Trace& trace,
+                   const DisruptionStats& disruption) {
+  std::ostringstream out;
+  out.precision(17);
+  for (int i = 0; i < schedule.size(); ++i) {
+    const TaskRecord& r = schedule.at(i);
+    out << r.task << ' ' << r.slave << ' ' << r.release << ' ' << r.send_start
+        << ' ' << r.send_end << ' ' << r.comp_start << ' ' << r.comp_end
+        << '\n';
+  }
+  for (const TraceEvent& e : trace.events()) {
+    out << static_cast<int>(e.kind) << ' ' << e.time << ' ' << e.task << ' '
+        << e.slave << ' ' << e.aux << '\n';
+  }
+  out << disruption.redispatches << ' ' << disruption.lost_work << '\n';
+  return out.str();
+}
+
+/// Runs the sharded engine and returns the rendering of its merged views.
 std::string render_merged(const Scenario& s, const char* policy, int shards,
-                          ShardRouting routing, int shard_threads = 1,
-                          bool route_scan = false) {
+                          ShardRouting routing, int shard_threads = 1) {
   ShardedEngineOptions options;
   options.shards = shards;
   options.routing = routing;
   options.shard_threads = shard_threads;
-  options.route_scan = route_scan;
   options.engine = s.options;
   ShardedEngine engine(s.platform, factory_for(policy), options);
   engine.load(s.workload);
@@ -249,21 +266,7 @@ std::string render_merged(const Scenario& s, const char* policy, int shards,
                       engine.shard_options(k));
   }
 
-  std::ostringstream out;
-  out.precision(17);
-  for (int i = 0; i < engine.schedule().size(); ++i) {
-    const TaskRecord& r = engine.schedule().at(i);
-    out << r.task << ' ' << r.slave << ' ' << r.release << ' ' << r.send_start
-        << ' ' << r.send_end << ' ' << r.comp_start << ' ' << r.comp_end
-        << '\n';
-  }
-  for (const TraceEvent& e : engine.trace().events()) {
-    out << static_cast<int>(e.kind) << ' ' << e.time << ' ' << e.task << ' '
-        << e.slave << ' ' << e.aux << '\n';
-  }
-  out << engine.disruption().redispatches << ' '
-      << engine.disruption().lost_work << '\n';
-  return out.str();
+  return render(engine.schedule(), engine.trace(), engine.disruption());
 }
 
 TEST(ShardedEngine, MergedOutputIsReproducibleForEveryRouting) {
@@ -307,6 +310,59 @@ TEST(ShardedEngine, ParallelAdvancementIsByteIdenticalToSequential) {
   }
 }
 
+/// The original least-loaded router, kept here as the oracle for
+/// ShardedEngine's cached-load router: K plain OnePortEngines built exactly
+/// as ShardedEngine builds its shards (same shard platforms, options and
+/// fresh scheduler instances), stepped through the release epochs together,
+/// each task routed by the original per-injection O(K) scan over the live
+/// engines (fewest pending, then earlier port free time beyond kTimeEps,
+/// then lower shard id).
+struct ScanRouted {
+  std::vector<std::unique_ptr<OnlineScheduler>> schedulers;
+  std::vector<std::unique_ptr<OnePortEngine>> engines;
+  /// Per shard: the global task ids it was routed, in injection order.
+  std::vector<std::vector<TaskId>> tasks;
+};
+
+ScanRouted route_by_original_scan(const ShardedEngine& sharded,
+                                  const Workload& workload,
+                                  const std::string& policy) {
+  const int num = sharded.num_shards();
+  ScanRouted out;
+  out.tasks.resize(static_cast<std::size_t>(num));
+  for (int k = 0; k < num; ++k) {
+    out.schedulers.push_back(algorithms::make_scheduler(policy));
+    out.schedulers.back()->reset();
+    out.engines.push_back(std::make_unique<OnePortEngine>(
+        sharded.partition().shard_platform(k), *out.schedulers.back(),
+        sharded.shard_options(k)));
+  }
+  const std::vector<TaskSpec>& loaded = workload.tasks();
+  std::size_t i = 0;
+  while (i < loaded.size()) {
+    const Time t = loaded[i].release;
+    for (auto& engine : out.engines) engine->run_until(t);
+    while (i < loaded.size() && loaded[i].release == t) {
+      int best = 0;
+      for (int k = 1; k < num; ++k) {
+        const OnePortEngine& e = *out.engines[static_cast<std::size_t>(k)];
+        const OnePortEngine& b = *out.engines[static_cast<std::size_t>(best)];
+        if (e.pending_count() < b.pending_count() ||
+            (e.pending_count() == b.pending_count() &&
+             e.port_free_at() < b.port_free_at() - kTimeEps)) {
+          best = k;
+        }
+      }
+      out.tasks[static_cast<std::size_t>(best)].push_back(
+          static_cast<TaskId>(i));
+      out.engines[static_cast<std::size_t>(best)]->inject_task(loaded[i]);
+      ++i;
+    }
+  }
+  for (auto& engine : out.engines) engine->run_to_completion();
+  return out;
+}
+
 TEST(ShardedEngine, IncrementalLeastLoadedMatchesOriginalScan) {
   // The cached-load router must reproduce the original per-injection O(K)
   // engine scan decision for decision — the quantized releases give it
@@ -314,14 +370,37 @@ TEST(ShardedEngine, IncrementalLeastLoadedMatchesOriginalScan) {
   for (const std::uint64_t seed : {51ULL, 52ULL, 53ULL}) {
     for (const int shards : {2, 8}) {
       const Scenario s = make_fleet_scenario(seed, /*with_availability=*/true);
-      const std::string scan = render_merged(
-          s, "LS", shards, ShardRouting::kLeastLoaded, /*shard_threads=*/1,
-          /*route_scan=*/true);
       for (const int threads : {1, 4}) {
-        EXPECT_EQ(render_merged(s, "LS", shards, ShardRouting::kLeastLoaded,
-                                threads, /*route_scan=*/false),
-                  scan)
-            << "seed " << seed << " K=" << shards << " threads " << threads;
+        const std::string label = "seed " + std::to_string(seed) + " K=" +
+                                  std::to_string(shards) + " threads " +
+                                  std::to_string(threads);
+        ShardedEngineOptions options;
+        options.shards = shards;
+        options.routing = ShardRouting::kLeastLoaded;
+        options.shard_threads = threads;
+        options.engine = s.options;
+        ShardedEngine sharded(s.platform, factory_for("LS"), options);
+        sharded.load(s.workload);
+        sharded.run_to_completion();
+
+        const ScanRouted scan = route_by_original_scan(sharded, s.workload,
+                                                       "LS");
+        for (int k = 0; k < shards; ++k) {
+          const OnePortEngine& expected =
+              *scan.engines[static_cast<std::size_t>(k)];
+          const OnePortEngine& actual = sharded.shard_engine(k);
+          std::vector<TaskId> routed;
+          for (TaskId local = 0; local < actual.total_tasks(); ++local) {
+            routed.push_back(sharded.global_task(k, local));
+          }
+          EXPECT_EQ(routed, scan.tasks[static_cast<std::size_t>(k)])
+              << label << " shard " << k;
+          EXPECT_EQ(render(actual.schedule(), actual.trace(),
+                           actual.disruption()),
+                    render(expected.schedule(), expected.trace(),
+                           expected.disruption()))
+              << label << " shard " << k;
+        }
       }
     }
   }
