@@ -19,7 +19,9 @@
 // branch-free scalar completion_batch vs the explicitly vectorized
 // completion_batch_simd (probes/sec each) — measuring whether the
 // compiler's autovectorization of the scalar loop already matched the
-// hand-vectorized form (outputs are bit-identical either way).
+// hand-vectorized form (outputs are bit-identical either way) — and LS's
+// argmin, the scalar rank_best_completion body vs the dispatched
+// block-skip SIMD body (same answer either way).
 //
 // A second table covers the sharded engine (core/sharded_engine.hpp): the
 // same (platform, workload, policy) run as one 16384-slave one-port engine
@@ -84,6 +86,8 @@ struct RowResult {
   double calendar_eps = 0.0;  // events/sec, calendar + kernel default
   double kernel_scalar_mps = 0.0;  // completion_batch, million probes/sec
   double kernel_simd_mps = 0.0;    // completion_batch_simd, same input
+  double argmin_scalar_mps = 0.0;  // rank_best_completion, scalar body
+  double argmin_simd_mps = 0.0;    // rank_best_completion, dispatched
   double setup_sec = 0.0;     // platform + workload generation
   long rss_peak_kb = 0;       // process peak RSS after this row
   double speedup() const {
@@ -91,6 +95,9 @@ struct RowResult {
   }
   double kernel_speedup() const {
     return kernel_scalar_mps > 0.0 ? kernel_simd_mps / kernel_scalar_mps : 0.0;
+  }
+  double argmin_speedup() const {
+    return argmin_scalar_mps > 0.0 ? argmin_simd_mps / argmin_scalar_mps : 0.0;
   }
 };
 
@@ -136,12 +143,15 @@ double best_events_per_sec(const platform::Platform& plat,
   return best;
 }
 
-/// Million completion probes per second over a static m-slave view —
-/// scalar completion_batch when `simd` is false, completion_batch_simd
-/// when true. Deterministic inputs; both forms produce bit-identical
-/// output (asserted by tests/test_rank_kernel_simd.cpp), so this measures
-/// throughput only.
-double kernel_probes_mps(int m, bool simd) {
+/// Which kernel entry point kernel_probes_mps times.
+enum class Kernel { kBatchScalar, kBatchSimd, kArgminScalar, kArgminSimd };
+
+/// Million completion probes per second over a static m-slave view:
+/// completion_batch / completion_batch_simd, or the scalar / dispatched
+/// rank_best_completion argmin. Deterministic inputs; each scalar/SIMD pair
+/// produces identical output (asserted by tests/test_rank_kernel_simd.cpp),
+/// so this measures throughput only.
+double kernel_probes_mps(int m, Kernel kernel) {
   util::Rng rng(1234);
   std::vector<core::Time> comm(m), comp(m), ready(m), out(m);
   for (int j = 0; j < m; ++j) {
@@ -160,12 +170,23 @@ double kernel_probes_mps(int m, bool simd) {
   std::chrono::duration<double> elapsed{0.0};
   do {
     for (int r = 0; r < 64; ++r) {
-      if (simd) {
-        core::completion_batch_simd(view, 25.0, 30.0, 1.0, 1.0, out.data());
-      } else {
-        core::completion_batch(view, 25.0, 30.0, 1.0, 1.0, out.data());
+      switch (kernel) {
+        case Kernel::kBatchScalar:
+          core::completion_batch(view, 25.0, 30.0, 1.0, 1.0, out.data());
+          g_sink = out[m - 1];
+          break;
+        case Kernel::kBatchSimd:
+          core::completion_batch_simd(view, 25.0, 30.0, 1.0, 1.0, out.data());
+          g_sink = out[m - 1];
+          break;
+        case Kernel::kArgminScalar:
+          g_sink = core::rank_best_completion_width(
+              core::RankKernelWidth::kScalar, view, 25.0, 30.0, 1.0, 1.0);
+          break;
+        case Kernel::kArgminSimd:
+          g_sink = core::rank_best_completion(view, 25.0, 30.0, 1.0, 1.0);
+          break;
       }
-      g_sink = out[m - 1];
       ++iters;
     }
     elapsed = std::chrono::steady_clock::now() - start;
@@ -199,8 +220,11 @@ RowResult run_row(const Row& row) {
   out.calendar_eps =
       best_events_per_sec(plat, work, row.policy, fleet, row.reps);
 
-  out.kernel_scalar_mps = kernel_probes_mps(row.slaves, /*simd=*/false);
-  out.kernel_simd_mps = kernel_probes_mps(row.slaves, /*simd=*/true);
+  out.kernel_scalar_mps = kernel_probes_mps(row.slaves, Kernel::kBatchScalar);
+  out.kernel_simd_mps = kernel_probes_mps(row.slaves, Kernel::kBatchSimd);
+  out.argmin_scalar_mps =
+      kernel_probes_mps(row.slaves, Kernel::kArgminScalar);
+  out.argmin_simd_mps = kernel_probes_mps(row.slaves, Kernel::kArgminSimd);
 
   out.rss_peak_kb = peak_rss_kb();
   return out;
@@ -311,6 +335,9 @@ std::string to_json(const std::vector<RowResult>& results,
     json += ",\"kernel_scalar_mprobes\":" + fmt(r.kernel_scalar_mps);
     json += ",\"kernel_simd_mprobes\":" + fmt(r.kernel_simd_mps);
     json += ",\"kernel_simd_speedup\":" + fmt(r.kernel_speedup());
+    json += ",\"argmin_scalar_mprobes\":" + fmt(r.argmin_scalar_mps);
+    json += ",\"argmin_simd_mprobes\":" + fmt(r.argmin_simd_mps);
+    json += ",\"argmin_simd_speedup\":" + fmt(r.argmin_speedup());
     json += ",\"setup_sec\":" + fmt(r.setup_sec);
     json += ",\"rss_peak_kb\":" + std::to_string(r.rss_peak_kb) + "}";
   }
@@ -353,7 +380,8 @@ const char* const kSchemaKeys[] = {
     "\"events_per_sec_sharded\":", "\"sharded_speedup\":",
     "\"events_per_sec_sharded_t2\":", "\"events_per_sec_sharded_t4\":",
     "\"shard_threads_speedup\":", "\"avx512_available\":",
-    "\"host_threads\":",
+    "\"host_threads\":",           "\"argmin_scalar_mprobes\":",
+    "\"argmin_simd_mprobes\":",    "\"argmin_simd_speedup\":",
 };
 
 int check_schema(const std::string& path) {
@@ -409,7 +437,9 @@ int main(int argc, char** argv) {
               << ": heap " << r.heap_eps << " ev/s, calendar "
               << r.calendar_eps << " ev/s (x" << r.speedup() << "), kernel "
               << r.kernel_scalar_mps << " -> " << r.kernel_simd_mps
-              << " Mprobe/s (x" << r.kernel_speedup() << "), setup "
+              << " Mprobe/s (x" << r.kernel_speedup() << "), argmin "
+              << r.argmin_scalar_mps << " -> " << r.argmin_simd_mps
+              << " Mprobe/s (x" << r.argmin_speedup() << "), setup "
               << r.setup_sec << " s, peak RSS " << r.rss_peak_kb << " kb\n";
     results.push_back(r);
   }

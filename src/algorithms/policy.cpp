@@ -326,33 +326,52 @@ class WrrRanker : public Ranker {
 /// RR/RRC/RRP's rotating cursor: score = distance ahead of the cursor in
 /// the prescribed cycle, so the nearest available slave wins and offline
 /// slaves forfeit their turn. The cursor lands just past the winner.
+///
+/// Under exact selection (no tie:rng, eps 0) the scores are distinct
+/// integers, so the select scan's winner is simply the candidate nearest
+/// ahead of the cursor: direct() returns it without scoring every slave —
+/// cycle_[cursor_] itself whenever that slave is a candidate. Banded specs
+/// still go through score().
 class CyclicRanker : public Ranker {
  public:
   enum class Order { kCommPlusComp, kComm, kComp };
-  explicit CyclicRanker(Order order) : order_(order) {}
+  CyclicRanker(Order order, bool exact) : order_(order), exact_(exact) {}
 
   void score(const core::EngineView& engine, core::TaskId,
              const std::vector<core::SlaveId>& candidates,
              std::vector<double>& scores) override {
-    if (cycle_.empty()) {
-      switch (order_) {
-        case Order::kCommPlusComp:
-          cycle_ = engine.platform().order_by_comm_plus_comp();
-          break;
-        case Order::kComm: cycle_ = engine.platform().order_by_comm(); break;
-        case Order::kComp: cycle_ = engine.platform().order_by_comp(); break;
-      }
-      pos_.assign(cycle_.size(), 0);
-      for (std::size_t i = 0; i < cycle_.size(); ++i) {
-        pos_[static_cast<std::size_t>(cycle_[i])] = i;
-      }
-      cursor_ = 0;
-    }
+    build_cycle(engine);
     const std::size_t size = cycle_.size();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       const std::size_t pos = pos_[static_cast<std::size_t>(candidates[i])];
       scores[i] = static_cast<double>((pos + size - cursor_) % size);
     }
+  }
+  bool direct(const core::EngineView& engine, core::TaskId,
+              const std::vector<core::SlaveId>& candidates, bool,
+              core::SlaveId& out) override {
+    if (!exact_) return false;
+    build_cycle(engine);
+    // Filters emit ascending distinct ids, so a full-size candidate list is
+    // every slave.
+    const core::SlaveId at = cycle_[cursor_];
+    if (candidates.size() == cycle_.size() ||
+        std::binary_search(candidates.begin(), candidates.end(), at)) {
+      out = at;
+      return true;
+    }
+    const std::size_t size = cycle_.size();
+    std::size_t best_distance = size;
+    for (core::SlaveId j : candidates) {
+      const std::size_t pos = pos_[static_cast<std::size_t>(j)];
+      const std::size_t distance =
+          pos >= cursor_ ? pos - cursor_ : pos + size - cursor_;
+      if (distance < best_distance) {
+        best_distance = distance;
+        out = j;
+      }
+    }
+    return true;
   }
   void on_commit(core::SlaveId slave) override {
     cursor_ = (pos_[static_cast<std::size_t>(slave)] + 1) % cycle_.size();
@@ -364,7 +383,26 @@ class CyclicRanker : public Ranker {
   }
 
  private:
+  /// Lazily fixes the cycle at the first decision (the platform is only
+  /// known then).
+  void build_cycle(const core::EngineView& engine) {
+    if (!cycle_.empty()) return;
+    switch (order_) {
+      case Order::kCommPlusComp:
+        cycle_ = engine.platform().order_by_comm_plus_comp();
+        break;
+      case Order::kComm: cycle_ = engine.platform().order_by_comm(); break;
+      case Order::kComp: cycle_ = engine.platform().order_by_comp(); break;
+    }
+    pos_.assign(cycle_.size(), 0);
+    for (std::size_t i = 0; i < cycle_.size(); ++i) {
+      pos_[static_cast<std::size_t>(cycle_[i])] = i;
+    }
+    cursor_ = 0;
+  }
+
   Order order_;
+  bool exact_;  ///< selection is the exact scan (see the class comment)
   std::vector<core::SlaveId> cycle_;
   std::vector<std::size_t> pos_;  ///< slave id -> position in cycle_
   std::size_t cursor_ = 0;
@@ -502,6 +540,8 @@ std::unique_ptr<CandidateFilter> make_filter(const PolicySpec& spec) {
 }
 
 std::unique_ptr<Ranker> make_ranker(const PolicySpec& spec) {
+  // ComposedPolicy::select's exact scan (not its banded mode) picks.
+  const bool exact = spec.tie != TieKind::kRng && spec.eps == 0.0;
   switch (spec.ranker) {
     case RankerKind::kCompletion: return std::make_unique<CompletionRanker>();
     case RankerKind::kReady: return std::make_unique<ReadyRanker>();
@@ -515,11 +555,12 @@ std::unique_ptr<Ranker> make_ranker(const PolicySpec& spec) {
     case RankerKind::kConst: return std::make_unique<ConstRanker>();
     case RankerKind::kWrr: return std::make_unique<WrrRanker>();
     case RankerKind::kCyclicCommComp:
-      return std::make_unique<CyclicRanker>(CyclicRanker::Order::kCommPlusComp);
+      return std::make_unique<CyclicRanker>(CyclicRanker::Order::kCommPlusComp,
+                                            exact);
     case RankerKind::kCyclicComm:
-      return std::make_unique<CyclicRanker>(CyclicRanker::Order::kComm);
+      return std::make_unique<CyclicRanker>(CyclicRanker::Order::kComm, exact);
     case RankerKind::kCyclicComp:
-      return std::make_unique<CyclicRanker>(CyclicRanker::Order::kComp);
+      return std::make_unique<CyclicRanker>(CyclicRanker::Order::kComp, exact);
     case RankerKind::kPlanSljf:
       return std::make_unique<PlanRanker>(false, spec.lookahead);
     case RankerKind::kPlanSljfwc:

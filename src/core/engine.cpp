@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -123,7 +124,7 @@ void OnePortEngine::reset(platform::Platform platform,
       if (!avail_cursors_[j].trivial()) avail_enabled_ = true;
     }
   }
-  next_avail_time_ = std::numeric_limits<Time>::infinity();
+  avail_due_.clear();
   if (!avail_enabled_) return;  // every slave static: closed-form path
   for (std::size_t j = 0; j < m; ++j) {
     platform::AvailabilityCursor& cur = avail_cursors_[j];
@@ -135,9 +136,10 @@ void OnePortEngine::reset(platform::Platform platform,
     const Time nb = cur.next_begin();
     if (std::isfinite(nb)) {
       events_.push(nb, EventKind::kAvailability);
-      next_avail_time_ = std::min(next_avail_time_, nb);
+      avail_due_.emplace_back(nb, static_cast<SlaveId>(j));
     }
   }
+  std::make_heap(avail_due_.begin(), avail_due_.end(), std::greater<>());
 }
 
 void OnePortEngine::require_bound() const {
@@ -333,21 +335,29 @@ void OnePortEngine::apply_avail_span(std::size_t j,
 
 void OnePortEngine::process_avail_transitions() {
   // O(1) early-out on the overwhelmingly common iteration where nothing is
-  // due; the per-slave sweep below runs only when a transition fires.
-  if (!avail_enabled_ || next_avail_time_ > now_ + kTimeEps) return;
-  next_avail_time_ = std::numeric_limits<Time>::infinity();
-  const std::size_t m = static_cast<std::size_t>(platform_->size());
-  for (std::size_t j = 0; j < m; ++j) {
+  // due; otherwise only the due slaves are touched.
+  const Time due = now_ + kTimeEps;
+  if (avail_due_.empty() || avail_due_.front().first > due) return;
+  std::vector<SlaveId>& slaves = avail_due_slaves_;
+  slaves.clear();
+  while (!avail_due_.empty() && avail_due_.front().first <= due) {
+    std::pop_heap(avail_due_.begin(), avail_due_.end(), std::greater<>());
+    slaves.push_back(avail_due_.back().second);
+    avail_due_.pop_back();
+  }
+  // Ascending slave id is the order a sweep over every slave applies them
+  // in, which fixes the re-queue order, the trace and the release
+  // callbacks when several slaves transition at the same instant.
+  std::sort(slaves.begin(), slaves.end());
+  for (const SlaveId slave : slaves) {
+    const std::size_t j = static_cast<std::size_t>(slave);
     platform::AvailabilityCursor& cur = avail_cursors_[j];
-    bool advanced = false;
-    while (cur.next_begin() <= now_ + kTimeEps) {
-      apply_avail_span(j, cur.advance());
-      advanced = true;
-    }
+    while (cur.next_begin() <= due) apply_avail_span(j, cur.advance());
     const Time nb = cur.next_begin();
     if (std::isfinite(nb)) {
-      if (advanced) events_.push(nb, EventKind::kAvailability);
-      next_avail_time_ = std::min(next_avail_time_, nb);
+      events_.push(nb, EventKind::kAvailability);
+      avail_due_.emplace_back(nb, slave);
+      std::push_heap(avail_due_.begin(), avail_due_.end(), std::greater<>());
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/engine_view.hpp"
@@ -168,7 +169,9 @@ struct DisruptionStats {
 /// Time-varying availability (EngineOptions::availability or
 /// lazy_availability): each slave replays a deterministic timeline of
 /// outages and speed drift through one AvailabilityCursor, whichever source
-/// backs it, realized as kAvailability calendar events. Semantics:
+/// backs it, realized as kAvailability calendar events. A due-heap keyed on
+/// each cursor's next transition finds the slaves a transition instant
+/// touches without visiting the others. Semantics:
 ///  * a slave transitioning offline aborts *every* task committed to it and
 ///    not yet completed (queued, computing, or still on the link): partial
 ///    compute is discarded (DisruptionStats::lost_work), the tasks rejoin
@@ -313,6 +316,7 @@ class OnePortEngine final : public EngineView {
   /// Applies every availability transition with instant <= now(): updates
   /// the cached online/speed state, flushes aborted tasks back to pending
   /// on offline transitions, and schedules the next transition event.
+  /// Slaves due at the same instant are applied in ascending id order.
   /// No-op when availability is disabled.
   void process_avail_transitions();
   /// Offline transition of slave j at time t: re-queues every committed,
@@ -402,10 +406,16 @@ class OnePortEngine final : public EngineView {
 
   /// --- time-varying availability state (inert when !avail_enabled_) ------
   bool avail_enabled_ = false;
-  /// Earliest pending transition across all slaves (+inf when none): lets
-  /// process_avail_transitions() early-out in O(1) on the vast majority of
-  /// event-loop iterations, where nothing is due.
-  Time next_avail_time_ = 0.0;
+  /// Due-heap of availability transitions: a min-heap of
+  /// (next_begin, slave), one entry per cursor with a transition left. A
+  /// cursor's next_begin() only moves in advance(), so the entry stays
+  /// exact until its slave is popped. The top is the earliest pending
+  /// transition, which lets process_avail_transitions() early-out in O(1)
+  /// on the vast majority of event-loop iterations and otherwise touch only
+  /// the k due slaves, O(k log m) instead of a sweep over all m.
+  std::vector<std::pair<Time, SlaveId>> avail_due_;
+  /// Scratch: the due slave ids of one process_avail_transitions() call.
+  std::vector<SlaveId> avail_due_slaves_;
   /// One span walk per slave over the options' profiles or lazy streams.
   std::vector<platform::AvailabilityCursor> avail_cursors_;
   std::vector<std::uint8_t> slave_online_;  ///< cached state at now()

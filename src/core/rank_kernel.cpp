@@ -423,39 +423,234 @@ void completion_gather_width(RankKernelWidth width, const SlaveStateView& s,
   completion_gather(s, now, send_start, comm_factor, comp_factor, ids, n, out);
 }
 
-SlaveId rank_best_completion(const SlaveStateView& s, Time now,
-                             Time send_start, double comm_factor,
-                             double comp_factor) {
-  const int m = s.m;
-  SlaveId best = -1;
-  Time best_completion = 0.0;
-  if (s.online == nullptr && s.speed == nullptr) {
-    for (int j = 0; j < m; ++j) {
-      const Time send_end = send_start + s.comm[j] * comm_factor;
-      const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-      const Time completion = comp_start + s.comp[j] * comp_factor;
-      if (best < 0 || completion < best_completion - kTimeEps) {
-        best = j;
-        best_completion = completion;
-      }
+namespace {
+
+/// One slave's hypothetical completion: the probe the scalar argmin and the
+/// SIMD bodies' tails run, in the batch kernels' operation order (multiply,
+/// then the optional speed divide, then the add).
+inline Time probe_one(const SlaveStateView& s, int j, Time now, Time send_start,
+                      double comm_factor, double comp_factor) {
+  const Time send_end = send_start + s.comm[j] * comm_factor;
+  const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
+  Time compute = s.comp[j] * comp_factor;
+  if (s.speed != nullptr) compute /= s.speed[j];
+  return comp_start + compute;
+}
+
+/// The sequential argmin's update rule over the lanes set in `hit` of a
+/// block starting at slave `base`, whose completions are already in `c`.
+/// `hit` holds the online lanes below the threshold the block was compared
+/// against; the threshold only falls as the incumbent improves, so no other
+/// lane can win and visiting the set bits in ascending order is the
+/// sequential scan over the whole block.
+inline void rescan_hits(const Time* c, unsigned hit, int base, SlaveId& best,
+                        Time& best_completion) {
+  for (; hit != 0; hit &= hit - 1) {
+    const int l = __builtin_ctz(hit);
+    if (c[l] < best_completion - kTimeEps) {
+      best = base + l;
+      best_completion = c[l];
     }
-    return best;
   }
-  for (int j = 0; j < m; ++j) {
-    // Offline slaves are skipped, not scored infinity: with every slave
-    // offline the answer is -1, which an infinity entry would steal.
+}
+
+/// Scalar prologue shared by the SIMD bodies: the first online slave wins
+/// unconditionally, so the vector loop can start with a real incumbent.
+/// Returns the index the vector loop resumes at.
+inline int argmin_prologue(const SlaveStateView& s, Time now, Time send_start,
+                           double comm_factor, double comp_factor,
+                           SlaveId& best, Time& best_completion) {
+  int j = 0;
+  for (; j < s.m && best < 0; ++j) {
     if (s.online != nullptr && s.online[j] == 0) continue;
-    const Time send_end = send_start + s.comm[j] * comm_factor;
-    const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-    Time compute = s.comp[j] * comp_factor;
-    if (s.speed != nullptr) compute /= s.speed[j];
-    const Time completion = comp_start + compute;
+    best = j;
+    best_completion = probe_one(s, j, now, send_start, comm_factor, comp_factor);
+  }
+  return j;
+}
+
+/// The sequential scan over slaves [j, m) from the incumbent (best,
+/// best_completion): the scalar body (j = 0, best = -1) and the SIMD
+/// bodies' tails. Offline slaves are skipped, not scored infinity: with
+/// every slave offline the answer is -1, which an infinity entry would
+/// steal.
+inline void argmin_scalar_from(const SlaveStateView& s, int j, Time now,
+                               Time send_start, double comm_factor,
+                               double comp_factor, SlaveId& best,
+                               Time& best_completion) {
+  for (; j < s.m; ++j) {
+    if (s.online != nullptr && s.online[j] == 0) continue;
+    const Time completion =
+        probe_one(s, j, now, send_start, comm_factor, comp_factor);
     if (best < 0 || completion < best_completion - kTimeEps) {
       best = j;
       best_completion = completion;
     }
   }
+}
+
+/// The scalar argmin: the pre-AVX2 body and RankKernelWidth::kScalar.
+SlaveId rank_best_scalar(const SlaveStateView& s, Time now, Time send_start,
+                         double comm_factor, double comp_factor) {
+  SlaveId best = -1;
+  Time best_completion = 0.0;
+  argmin_scalar_from(s, 0, now, send_start, comm_factor, comp_factor, best,
+                     best_completion);
   return best;
+}
+
+}  // namespace
+
+#ifdef MSOL_RANK_KERNEL_SIMD
+namespace {
+
+// Block-skip argmin. Each block of lanes computes its completions with the
+// scalar probe's exact operation sequence (the batch kernels' arithmetic,
+// plus a lane divide by `speed`: vdivpd and divsd are both correctly
+// rounded), then compares every lane against the incumbent's threshold
+// best_completion - kTimeEps with an ordered less-than. The sequential scan
+// only changes state on such a hit, so a block without one is skipped
+// exactly; in a block with one, the hit lanes are rescanned in order with
+// the scalar rule. NaN and +infinity never hit, and offline lanes are
+// masked out of the hit set (the scalar scan skips them).
+
+__attribute__((target("avx2"))) SlaveId argmin_avx2(
+    const SlaveStateView& s, Time now, Time send_start, double comm_factor,
+    double comp_factor) {
+  SlaveId best = -1;
+  Time best_completion = 0.0;
+  int j = argmin_prologue(s, now, send_start, comm_factor, comp_factor, best,
+                          best_completion);
+  const Vd4 vnow = {now, now, now, now};
+  const Vd4 vsend = {send_start, send_start, send_start, send_start};
+  const Vd4 vcf = {comm_factor, comm_factor, comm_factor, comm_factor};
+  const Vd4 vpf = {comp_factor, comp_factor, comp_factor, comp_factor};
+  __m256d vthr = _mm256_set1_pd(best_completion - kTimeEps);
+  alignas(32) Time lanes[4];
+  for (; j + 4 <= s.m; j += 4) {
+    Vd4 comm, comp, ready;
+    std::memcpy(&comm, s.comm + j, sizeof comm);
+    std::memcpy(&comp, s.comp + j, sizeof comp);
+    std::memcpy(&ready, s.ready + j, sizeof ready);
+    const Vd4 send_end = vsend + comm * vcf;
+    const Vd4 comp_start = vmax(send_end, vmax(vnow, ready));
+    Vd4 compute = comp * vpf;
+    if (s.speed != nullptr) {
+      Vd4 speed;
+      std::memcpy(&speed, s.speed + j, sizeof speed);
+      compute = compute / speed;
+    }
+    const Vd4 completion = comp_start + compute;
+    __m256d cv;
+    std::memcpy(&cv, &completion, sizeof cv);
+    unsigned hit = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(cv, vthr, _CMP_LT_OQ)));
+    if (hit == 0) continue;
+    if (s.online != nullptr) {
+      const std::uint8_t* on = s.online + j;
+      hit &= (on[0] != 0) | (on[1] != 0) << 1 | (on[2] != 0) << 2 |
+             (on[3] != 0) << 3;
+      if (hit == 0) continue;
+    }
+    std::memcpy(lanes, &completion, sizeof lanes);
+    rescan_hits(lanes, hit, j, best, best_completion);
+    vthr = _mm256_set1_pd(best_completion - kTimeEps);
+  }
+  argmin_scalar_from(s, j, now, send_start, comm_factor, comp_factor, best,
+                     best_completion);
+  return best;
+}
+
+__attribute__((target("avx512f"))) SlaveId argmin_avx512(
+    const SlaveStateView& s, Time now, Time send_start, double comm_factor,
+    double comp_factor) {
+  SlaveId best = -1;
+  Time best_completion = 0.0;
+  int j = argmin_prologue(s, now, send_start, comm_factor, comp_factor, best,
+                          best_completion);
+  const Vd8 vnow = {now, now, now, now, now, now, now, now};
+  const Vd8 vsend = {send_start, send_start, send_start, send_start,
+                     send_start, send_start, send_start, send_start};
+  const Vd8 vcf = {comm_factor, comm_factor, comm_factor, comm_factor,
+                   comm_factor, comm_factor, comm_factor, comm_factor};
+  const Vd8 vpf = {comp_factor, comp_factor, comp_factor, comp_factor,
+                   comp_factor, comp_factor, comp_factor, comp_factor};
+  __m512d vthr = _mm512_set1_pd(best_completion - kTimeEps);
+  alignas(64) Time lanes[8];
+  for (; j + 8 <= s.m; j += 8) {
+    Vd8 comm, comp, ready;
+    std::memcpy(&comm, s.comm + j, sizeof comm);
+    std::memcpy(&comp, s.comp + j, sizeof comp);
+    std::memcpy(&ready, s.ready + j, sizeof ready);
+    const Vd8 send_end = vsend + comm * vcf;
+    const Vd8 comp_start = vmax8(send_end, vmax8(vnow, ready));
+    Vd8 compute = comp * vpf;
+    if (s.speed != nullptr) {
+      Vd8 speed;
+      std::memcpy(&speed, s.speed + j, sizeof speed);
+      compute = compute / speed;
+    }
+    const Vd8 completion = comp_start + compute;
+    __m512d cv;
+    std::memcpy(&cv, &completion, sizeof cv);
+    unsigned hit = _mm512_cmp_pd_mask(cv, vthr, _CMP_LT_OQ);
+    if (hit == 0) continue;
+    if (s.online != nullptr) {
+      // Widen the 8 online bytes to 64-bit lanes; nonzero = online. (The
+      // zero-masking widen: the plain form starts from an undefined
+      // register GCC 12 warns about.)
+      std::uint64_t packed;
+      std::memcpy(&packed, s.online + j, sizeof packed);
+      const __m512i on = _mm512_maskz_cvtepu8_epi64(
+          0xFF, _mm_cvtsi64_si128(static_cast<long long>(packed)));
+      hit &= _mm512_test_epi64_mask(on, on);
+      if (hit == 0) continue;
+    }
+    std::memcpy(lanes, &completion, sizeof lanes);
+    rescan_hits(lanes, hit, j, best, best_completion);
+    vthr = _mm512_set1_pd(best_completion - kTimeEps);
+  }
+  argmin_scalar_from(s, j, now, send_start, comm_factor, comp_factor, best,
+                     best_completion);
+  return best;
+}
+
+}  // namespace
+#endif  // MSOL_RANK_KERNEL_SIMD
+
+SlaveId rank_best_completion(const SlaveStateView& s, Time now,
+                             Time send_start, double comm_factor,
+                             double comp_factor) {
+#ifdef MSOL_RANK_KERNEL_SIMD
+  // Widest ISA the host carries; every body returns the scalar scan's
+  // answer, so this is a pure throughput decision.
+  if (rank_kernel_avx512_available()) {
+    return argmin_avx512(s, now, send_start, comm_factor, comp_factor);
+  }
+  if (rank_kernel_simd_available()) {
+    return argmin_avx2(s, now, send_start, comm_factor, comp_factor);
+  }
+#endif
+  return rank_best_scalar(s, now, send_start, comm_factor, comp_factor);
+}
+
+SlaveId rank_best_completion_width(RankKernelWidth width,
+                                   const SlaveStateView& s, Time now,
+                                   Time send_start, double comm_factor,
+                                   double comp_factor) {
+  if (width == RankKernelWidth::kAuto) {
+    return rank_best_completion(s, now, send_start, comm_factor, comp_factor);
+  }
+#ifdef MSOL_RANK_KERNEL_SIMD
+  if (width == RankKernelWidth::kAvx512 && rank_kernel_avx512_available()) {
+    return argmin_avx512(s, now, send_start, comm_factor, comp_factor);
+  }
+  if (width == RankKernelWidth::kAvx2 && rank_kernel_simd_available()) {
+    return argmin_avx2(s, now, send_start, comm_factor, comp_factor);
+  }
+#endif
+  // kScalar or an unavailable ISA.
+  return rank_best_scalar(s, now, send_start, comm_factor, comp_factor);
 }
 
 }  // namespace msol::core

@@ -54,6 +54,17 @@ void completion_gather(const SlaveStateView& s, Time now, Time send_start,
 /// minimizing the hypothetical completion, with list scheduling's exact
 /// tie-break (a later slave wins only when strictly better by more than
 /// kTimeEps); -1 when no slave is available.
+///
+/// This is the LS hot path (OnePortEngine and IncrementalProjection both
+/// call it), so it runs the widest block-skip body the host carries
+/// (AVX-512, else AVX2, else the scalar loop) on every view, availability
+/// state included. Each block computes its lanes with the scalar probe's
+/// exact operation sequence and compares them against the incumbent's
+/// threshold best - kTimeEps; the sequential scan only changes state on
+/// such a hit, so blocks without one are skipped and in a block with one
+/// the hit lanes are rescanned in order with the scalar rule. The answer is
+/// the scalar scan's, index for index (tests/test_rank_kernel_simd.cpp pins
+/// it).
 SlaveId rank_best_completion(const SlaveStateView& s, Time now,
                              Time send_start, double comm_factor,
                              double comp_factor);
@@ -73,7 +84,9 @@ bool rank_kernel_simd_available();
 /// (tests/test_rank_kernel_simd.cpp asserts memcmp equality; the
 /// bench_fleet_scale kernel columns measure whether the compiler's
 /// autovectorization of the scalar loop was already achieving this).
-/// Views with online/speed state delegate to the scalar form.
+/// Views with online/speed state delegate to the scalar form. No
+/// production path calls the dense batch forms (the engine ranks through
+/// rank_best_completion); they remain the benches' kernel-throughput probe.
 void completion_batch_simd(const SlaveStateView& s, Time now, Time send_start,
                            double comm_factor, double comp_factor, Time* out);
 
@@ -83,8 +96,8 @@ void completion_batch_simd(const SlaveStateView& s, Time now, Time send_start,
 /// have AVX2 without AVX-512 (most do), never the reverse in practice.
 bool rank_kernel_avx512_available();
 
-/// Which explicit kernel body completion_batch_width runs. kAuto is what
-/// completion_batch_simd dispatches: widest ISA the host supports, scalar
+/// Which explicit kernel body the *_width entry points run. kAuto is what
+/// the undecorated forms dispatch: widest ISA the host supports, scalar
 /// when none. The pinned values force one body (falling back to scalar when
 /// the build or host lacks the ISA) so the bit-identity tests can memcmp
 /// every implementation against every other on the same host.
@@ -104,6 +117,14 @@ enum class RankKernelWidth : std::uint8_t {
 void completion_batch_width(RankKernelWidth width, const SlaveStateView& s,
                             Time now, Time send_start, double comm_factor,
                             double comp_factor, Time* out);
+
+/// rank_best_completion through one pinned body (see RankKernelWidth);
+/// kAuto dispatches like rank_best_completion, and unavailable ISAs fall
+/// back to the scalar loop, so every width is comparable on the same host.
+SlaveId rank_best_completion_width(RankKernelWidth width,
+                                   const SlaveStateView& s, Time now,
+                                   Time send_start, double comm_factor,
+                                   double comp_factor);
 
 /// Explicitly vectorized completion_gather: hardware gathers
 /// (vgatherdpd — SlaveId is 32-bit, so 4/8 ids feed one i32gather) pull the

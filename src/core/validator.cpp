@@ -18,9 +18,11 @@ void check_durations(const platform::Platform& platform,
                      const EngineOptions& options,
                      const std::vector<platform::AvailabilityProfile>& profiles,
                      std::vector<std::string>& out) {
+  // Message streams are built only inside the failing branches: this runs
+  // once per record, and a valid schedule fails none of them.
   const TaskSpec& spec = workload.at(r.task);
-  std::ostringstream msg;
   if (r.send_start < spec.release - kTimeEps) {
+    std::ostringstream msg;
     msg << "task " << r.task << ": send starts at " << r.send_start
         << " before release " << spec.release;
     out.push_back(msg.str());
@@ -29,6 +31,7 @@ void check_durations(const platform::Platform& platform,
   const Time want_send =
       platform.comm(r.slave) * spec.comm_factor;
   if (std::abs((r.send_end - r.send_start) - want_send) > kDurEps) {
+    std::ostringstream msg;
     msg << "task " << r.task << ": send duration "
         << (r.send_end - r.send_start) << " != c_j*factor " << want_send;
     out.push_back(msg.str());

@@ -67,8 +67,8 @@ class AvailabilityCursor {
   bool trivial() const;
 
   /// Begin of the next unapplied span, or +infinity when the realization is
-  /// exhausted (the final state persists forever). Cached: the engine polls
-  /// it for every slave whenever any transition is due.
+  /// exhausted (the final state persists forever). Cached, and changed only
+  /// by advance(): the engine keys its due-heap of transitions on it.
   core::Time next_begin() const { return next_begin_; }
 
   /// Consumes the next span (next_begin() must be finite) and returns it.

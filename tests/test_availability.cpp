@@ -7,6 +7,8 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/registry.hpp"
@@ -394,6 +396,97 @@ TEST(EngineAvailability, ReusedEngineMatchesFreshUnderChurn) {
     redispatches += fresh.disruption().redispatches;
   }
   EXPECT_GT(redispatches, 0);  // the sources actually disturbed the runs
+}
+
+/// Commits the front task to the next slave of a fixed plan, then defers
+/// forever: tasks an outage re-queues stay pending in re-queue order.
+class PlanThenDefer : public OnlineScheduler {
+ public:
+  explicit PlanThenDefer(std::vector<SlaveId> plan) : plan_(std::move(plan)) {}
+  std::string name() const override { return "PlanThenDefer"; }
+  Decision decide(const EngineView& engine) override {
+    if (next_ >= plan_.size()) return Defer{};
+    return Assign{engine.pending_front(), plan_[next_++]};
+  }
+  void reset() override { next_ = 0; }
+
+ private:
+  std::vector<SlaveId> plan_;
+  std::size_t next_ = 0;
+};
+
+/// Runs the plan {5, 2, 4, 1, 5, 2, 4, 1} on six slaves whose tasks cannot
+/// finish before `outage`, parks the engine at `park` (after every planned
+/// slave went offline, before any came back), and checks that the outage
+/// re-queued the doomed tasks by ascending slave id, each slave's in commit
+/// order, in the trace and in the pending set.
+void expect_requeue_in_slave_order(const EngineOptions& options,
+                                   Time outage, Time park) {
+  const platform::Platform plat(std::vector<platform::SlaveSpec>(
+      6, platform::SlaveSpec{0.01, 1e4}));
+  PlanThenDefer plan({5, 2, 4, 1, 5, 2, 4, 1});
+  OnePortEngine engine(plat, plan, options);
+  engine.load(Workload::all_at_zero(8));
+  engine.run_until(park);
+
+  // Task i went to plan[i]: slave 1 holds tasks 3 and 7, slave 2 holds 1
+  // and 5, slave 4 holds 2 and 6, slave 5 holds 0 and 4.
+  const std::vector<TaskId> want_tasks = {3, 7, 1, 5, 2, 6, 0, 4};
+  const std::vector<SlaveId> want_slaves = {1, 1, 2, 2, 4, 4, 5, 5};
+  std::vector<TaskId> requeued_tasks;
+  std::vector<SlaveId> requeued_slaves;
+  for (const TraceEvent& e : engine.trace().events()) {
+    if (e.kind != TraceEvent::Kind::kRequeue) continue;
+    EXPECT_NEAR(e.time, outage, 1e-9);
+    requeued_tasks.push_back(e.task);
+    requeued_slaves.push_back(e.slave);
+  }
+  EXPECT_EQ(requeued_tasks, want_tasks);
+  EXPECT_EQ(requeued_slaves, want_slaves);
+  EXPECT_EQ(engine.pending_tasks(), want_tasks);
+  EXPECT_EQ(engine.disruption().redispatches, 8);
+}
+
+TEST(EngineAvailability, SimultaneousOutagesRequeueInSlaveOrder) {
+  // Profile backing. The planned slaves go offline within kTimeEps of
+  // t = 10 in descending id order (5, then 4, then 1 and 2 at exactly 10),
+  // after speed shifts that also come in descending id order: the engine
+  // wakes at the first of them and must still apply all four by ascending
+  // slave id.
+  const Time t = 10.0;
+  std::vector<platform::AvailabilityProfile> profiles(6);
+  const std::pair<SlaveId, Time> outages[] = {
+      {5, t - 0.6e-9}, {4, t - 0.3e-9}, {2, t}, {1, t}};
+  Time shift = 1.0;
+  for (const auto& [slave, down] : outages) {
+    profiles[static_cast<std::size_t>(slave)] = platform::AvailabilityProfile(
+        {{shift, true, 2.0}, {down, false, 1.0}, {1000.0, true, 1.0}});
+    shift += 1.0;
+  }
+  expect_requeue_in_slave_order(with_profiles(profiles), t - 0.6e-9, 20.0);
+}
+
+TEST(EngineAvailability, SimultaneousLazyOutagesRequeueInSlaveOrder) {
+  // Lazy backing: every slave replays the same stream, so all six go
+  // offline at the same instant.
+  EngineOptions options;
+  options.enable_trace = true;
+  options.lazy_availability.model = platform::AvailabilityModel::kChurn;
+  options.lazy_availability.mtbf = 50.0;
+  options.lazy_availability.outage_frac = 0.2;
+  options.lazy_availability.horizon = 1000.0;
+  options.lazy_availability.seed = 21;
+  options.lazy_stream_ids.assign(6, 3);
+  const platform::AvailabilityProfile stream =
+      platform::generate_availability_stream(options.lazy_availability, 3);
+  ASSERT_GE(stream.spans().size(), 2u);
+  const platform::AvailabilitySpan& down = stream.spans()[0];
+  const platform::AvailabilitySpan& up = stream.spans()[1];
+  ASSERT_FALSE(down.online);
+  ASSERT_TRUE(up.online);
+  ASSERT_LT(up.begin, 1e4) << "tasks must still be running at the outage";
+  expect_requeue_in_slave_order(options, down.begin,
+                                0.5 * (down.begin + up.begin));
 }
 
 TEST(EngineAvailability, MismatchedProfileCountThrows) {

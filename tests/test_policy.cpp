@@ -13,13 +13,16 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/policy.hpp"
 #include "algorithms/policy_spec.hpp"
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
+#include "core/schedule_io.hpp"
 #include "core/validator.hpp"
+#include "platform/availability.hpp"
 #include "platform/generator.hpp"
 #include "util/rng.hpp"
 
@@ -262,6 +265,50 @@ TEST(ComposedPolicy, ResetRestoresEveryStatefulComponent) {
     const Schedule second = core::simulate(plat, work, *policy);
     for (int i = 0; i < work.size(); ++i) {
       ASSERT_EQ(first.at(i).slave, second.at(i).slave) << spec;
+    }
+  }
+}
+
+/// RR/RRC/RRP pick the candidate nearest ahead of the cursor directly.
+/// "+eps:1e-12" sends the same ranker through score() and the banded
+/// select instead, and its distinct integer scores keep the band at the
+/// single best slave: the two routes must schedule byte for byte alike
+/// under every filter and availability regime.
+TEST(ComposedPolicy, CyclicDirectPickMatchesTheScoredPath) {
+  util::Rng rng(409);
+  const platform::PlatformGenerator gen;
+  const std::pair<std::string, std::string> cycles[] = {
+      {"RR", "commcomp"}, {"RRC", "comm"}, {"RRP", "comp"}};
+  const std::string filters[] = {"all", "free", "throttle:2", "quota"};
+  const platform::AvailabilityModel models[] = {
+      platform::AvailabilityModel::kAlways,
+      platform::AvailabilityModel::kChurn,
+      platform::AvailabilityModel::kDrift};
+  for (const int m : {5, 64, 300}) {
+    const Platform plat =
+        gen.generate(PlatformClass::kFullyHeterogeneous, m, rng);
+    const int n = 300;
+    const double rate = 4.0;
+    const Workload work = Workload::poisson(n, rate, rng);
+    const core::Time horizon = 4.0 * n / rate;
+    for (const platform::AvailabilityModel model : models) {
+      core::EngineOptions options;
+      options.availability = platform::generate_availability(
+          model, m, horizon / 20.0, 0.15, horizon, rng);
+      for (const auto& [name, order] : cycles) {
+        for (const std::string& filter : filters) {
+          const std::string direct = name + "+filter:" + filter;
+          const std::string scored =
+              "rank:cyclic:" + order + "+filter:" + filter + "+eps:1e-12";
+          const auto a = make_scheduler(direct);
+          const auto b = make_scheduler(scored);
+          const Schedule sa = core::simulate(plat, work, *a, options);
+          const Schedule sb = core::simulate(plat, work, *b, options);
+          ASSERT_EQ(sa.size(), work.size()) << direct;
+          EXPECT_EQ(core::to_csv(sa), core::to_csv(sb))
+              << direct << " vs " << scored << " m " << m;
+        }
+      }
     }
   }
 }
