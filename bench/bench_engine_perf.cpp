@@ -10,23 +10,19 @@
 
 #include <benchmark/benchmark.h>
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
-#include "core/rank_kernel.hpp"
 #include "support/reference_engine.hpp"
 #include "experiments/campaign.hpp"
 #include "offline/deadline_solver.hpp"
 #include "offline/exhaustive.hpp"
+#include "perf_common.hpp"
 #include "platform/generator.hpp"
 #include "support/deadline_solver_reference.hpp"
 #include "util/rng.hpp"
@@ -74,11 +70,11 @@ void BM_EngineSrptDeferHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSrptDeferHeavy)->Arg(100)->Arg(1000);
 
-// --- event-calendar engine vs the pre-calendar reference -------------------
-// The PR's acceptance configuration: 64 slaves x 10k tasks, poisson at 90%
-// load. Identical platform, workload and policy on both engines; the only
-// variable is the decision-loop machinery (heap calendar + O(1) indexed
-// pending vs full scans + O(pending) find). Policy selects what is
+// --- production engine vs the scan-based reference -------------------------
+// 64 slaves x 10k tasks, poisson at 90% load. Identical platform, workload
+// and policy on both engines; the only variable is the decision-loop
+// machinery (one cheap source per wake-up kind, completions in a heap, O(1)
+// indexed pending vs full scans + O(pending) find). Policy selects what is
 // measured: RR's O(1) decide isolates the engine event loop (the headline
 // number, >10x here), LS adds its per-decision placement probe (>2x), SRPT
 // is defer/wake-bound. items_per_second is tasks scheduled per wall second.
@@ -102,26 +98,26 @@ void engine_compare(benchmark::State& state, const char* policy) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_EngineCalendarRR(benchmark::State& state) {
+void BM_EngineOnePortRR(benchmark::State& state) {
   engine_compare<false>(state, "RR");
 }
 void BM_EngineReferenceRR(benchmark::State& state) {
   engine_compare<true>(state, "RR");
 }
-void BM_EngineCalendarLS(benchmark::State& state) {
+void BM_EngineOnePortLS(benchmark::State& state) {
   engine_compare<false>(state, "LS");
 }
 void BM_EngineReferenceLS(benchmark::State& state) {
   engine_compare<true>(state, "LS");
 }
-void BM_EngineCalendarSRPT(benchmark::State& state) {
+void BM_EngineOnePortSRPT(benchmark::State& state) {
   engine_compare<false>(state, "SRPT");
 }
 void BM_EngineReferenceSRPT(benchmark::State& state) {
   engine_compare<true>(state, "SRPT");
 }
 
-BENCHMARK(BM_EngineCalendarRR)
+BENCHMARK(BM_EngineOnePortRR)
     ->Args({8, 1000})
     ->Args({64, 10000})
     ->Unit(benchmark::kMillisecond);
@@ -129,7 +125,7 @@ BENCHMARK(BM_EngineReferenceRR)
     ->Args({8, 1000})
     ->Args({64, 10000})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineCalendarLS)
+BENCHMARK(BM_EngineOnePortLS)
     ->Args({8, 1000})
     ->Args({64, 10000})
     ->Unit(benchmark::kMillisecond);
@@ -137,7 +133,7 @@ BENCHMARK(BM_EngineReferenceLS)
     ->Args({8, 1000})
     ->Args({64, 10000})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EngineCalendarSRPT)
+BENCHMARK(BM_EngineOnePortSRPT)
     ->Args({64, 10000})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EngineReferenceSRPT)
@@ -262,12 +258,8 @@ PlannerTimed ms_per_plan(bool comm_aware, platform::PlatformClass cls, int m,
 }
 
 std::string host_json() {
-  const char* simd = core::rank_kernel_avx512_available() ? "avx512"
-                     : core::rank_kernel_simd_available() ? "avx2"
-                                                          : "scalar";
-  return "{\"cores\":" +
-         std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
-         ",\"simd\":\"" + simd + "\"}";
+  return "{\"cores\":" + std::to_string(bench::host_threads()) +
+         ",\"simd\":\"" + bench::simd_name() + "\"}";
 }
 
 int run_json(const std::string& path) {
@@ -290,10 +282,8 @@ int run_json(const std::string& path) {
   bool first = true;
   for (const Case& c : cases) {
     const SelfTimed timed = events_per_sec(c.policy, c.slaves, c.tasks, c.reps);
-    // ru_maxrss is the process high-water mark, monotone across cases; the
-    // per-case value records the peak as of this case's completion.
-    struct rusage usage {};
-    getrusage(RUSAGE_SELF, &usage);
+    // The process high-water mark as of this case's completion.
+    const long rss_kb = bench::peak_rss_kb();
     if (!first) json += ',';
     first = false;
     json += "{\"policy\":\"" + std::string(c.policy) + "\"";
@@ -301,10 +291,10 @@ int run_json(const std::string& path) {
     json += ",\"tasks\":" + std::to_string(c.tasks);
     json += ",\"events_per_sec\":" + std::to_string(timed.events_per_sec);
     json += ",\"setup_sec\":" + std::to_string(timed.setup_sec);
-    json += ",\"rss_peak_kb\":" + std::to_string(usage.ru_maxrss) + "}";
+    json += ",\"rss_peak_kb\":" + std::to_string(rss_kb) + "}";
     std::cout << c.policy << " m=" << c.slaves << " n=" << c.tasks << ": "
               << timed.events_per_sec << " events/sec (setup "
-              << timed.setup_sec << " s, peak RSS " << usage.ru_maxrss
+              << timed.setup_sec << " s, peak RSS " << rss_kb
               << " kb)\n";
   }
   // Planner rows: one SLJF and one SLJFWC plan per platform class at the
@@ -347,14 +337,7 @@ int run_json(const std::string& path) {
     return 1;
   }
   json += "]}";
-  std::ofstream out(path);
-  out << json << "\n";
-  if (!out) {
-    std::cerr << "bench_engine_perf: cannot write " << path << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << path << "\n";
-  return 0;
+  return bench::write_json(path, json, "bench_engine_perf");
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
-// Fleet-scale engine throughput: calendar queue + SoA ranking kernel vs the
-// retained heap/scalar baseline, at platform sizes the micro-bench never
-// reaches (up to 4096 slaves x 100k tasks). Every row runs the IDENTICAL
-// (platform, workload, policy) through two engine configurations:
+// Fleet-scale engine throughput: the SoA ranking kernel vs the retained
+// scalar-probe baseline, at platform sizes the micro-bench never reaches
+// (up to 4096 slaves x 100k tasks). Every row runs the IDENTICAL
+// (platform, workload, policy) through two engine configurations, which
+// differ only in how placement probes are evaluated:
 //
-//   heap     EngineOptions{event_queue=kHeap, scalar_probes=true} — the
-//            pre-fleet hot path: binary-heap event queue, per-slave virtual
-//            probe loops.
-//   calendar EngineOptions{} — the default: bucketed calendar queue,
-//            batched branch-free ranking kernel over the SoA slave state.
+//   scalar   EngineOptions{scalar_probes=true} — the pre-kernel hot path:
+//            per-slave virtual probe loops.
+//   kernel   EngineOptions{} — the default: batched branch-free ranking
+//            kernel over the SoA slave state.
 //
 // Output is events (scheduled tasks) per second, the speedup ratio, setup
 // time (platform + workload generation, EXCLUDED from the timed region) and
@@ -33,22 +33,13 @@
 // bounded by the host's core count (reported as host_threads in the JSON).
 // Peak RSS is recorded after every shard count.
 //
-// Modes:
-//   (no args)            full-scale table to stdout
-//   --scale=small        reduced rows (CI smoke on shared runners)
-//   --json[=FILE]        also write machine-readable BENCH_fleet.json
-//   --check-schema=FILE  no benching: verify FILE carries every key this
-//                        binary emits (schema-drift guard for the committed
-//                        BENCH_fleet.json); exit 1 on drift.
+// Modes: the shared perf-bench command line (bench/perf_common.hpp), with
+// BENCH_fleet.json as the --json artifact.
 
-#include <sys/resource.h>
-
+#include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algorithms/registry.hpp"
@@ -57,21 +48,16 @@
 #include "core/sharded_engine.hpp"
 #include "experiments/campaign.hpp"
 #include "platform/generator.hpp"
+#include "perf_common.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace msol;
+using bench::fmt;
 
 // Keeps simulate() results observable without google-benchmark.
 volatile double g_sink = 0.0;
-
-/// Peak resident set of this process so far, in kilobytes.
-long peak_rss_kb() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;
-}
 
 struct Row {
   const char* policy;
@@ -82,8 +68,8 @@ struct Row {
 
 struct RowResult {
   Row row;
-  double heap_eps = 0.0;      // events/sec, heap + scalar baseline
-  double calendar_eps = 0.0;  // events/sec, calendar + kernel default
+  double scalar_eps = 0.0;  // events/sec, scalar-probe baseline
+  double kernel_eps = 0.0;  // events/sec, ranking-kernel default
   double kernel_scalar_mps = 0.0;  // completion_batch, million probes/sec
   double kernel_simd_mps = 0.0;    // completion_batch_simd, same input
   double argmin_scalar_mps = 0.0;  // rank_best_completion, scalar body
@@ -91,7 +77,7 @@ struct RowResult {
   double setup_sec = 0.0;     // platform + workload generation
   long rss_peak_kb = 0;       // process peak RSS after this row
   double speedup() const {
-    return heap_eps > 0.0 ? calendar_eps / heap_eps : 0.0;
+    return scalar_eps > 0.0 ? kernel_eps / scalar_eps : 0.0;
   }
   double kernel_speedup() const {
     return kernel_scalar_mps > 0.0 ? kernel_simd_mps / kernel_scalar_mps : 0.0;
@@ -211,14 +197,12 @@ RowResult run_row(const Row& row) {
                       std::chrono::steady_clock::now() - setup_start)
                       .count();
 
-  core::EngineOptions heap;
-  heap.event_queue = core::EventQueueImpl::kHeap;
-  heap.scalar_probes = true;
-  out.heap_eps = best_events_per_sec(plat, work, row.policy, heap, row.reps);
-
-  core::EngineOptions fleet;  // defaults: calendar queue + ranking kernel
-  out.calendar_eps =
-      best_events_per_sec(plat, work, row.policy, fleet, row.reps);
+  core::EngineOptions scalar;
+  scalar.scalar_probes = true;
+  out.scalar_eps =
+      best_events_per_sec(plat, work, row.policy, scalar, row.reps);
+  out.kernel_eps = best_events_per_sec(plat, work, row.policy,
+                                       core::EngineOptions{}, row.reps);
 
   out.kernel_scalar_mps = kernel_probes_mps(row.slaves, Kernel::kBatchScalar);
   out.kernel_simd_mps = kernel_probes_mps(row.slaves, Kernel::kBatchSimd);
@@ -226,7 +210,7 @@ RowResult run_row(const Row& row) {
       kernel_probes_mps(row.slaves, Kernel::kArgminScalar);
   out.argmin_simd_mps = kernel_probes_mps(row.slaves, Kernel::kArgminSimd);
 
-  out.rss_peak_kb = peak_rss_kb();
+  out.rss_peak_kb = bench::peak_rss_kb();
   return out;
 }
 
@@ -275,7 +259,7 @@ ShardedResult run_sharded_row(const ShardedRow& row) {
                                                    row.shards, 2, row.reps);
   out.sharded_t4_eps = best_sharded_events_per_sec(plat, work, row.policy,
                                                    row.shards, 4, row.reps);
-  out.rss_peak_kb = peak_rss_kb();
+  out.rss_peak_kb = bench::peak_rss_kb();
   return out;
 }
 
@@ -305,12 +289,6 @@ std::vector<ShardedRow> sharded_rows_for_scale(bool small) {
           {"RR", 16384, 60000, 16, 1}};
 }
 
-std::string fmt(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 std::string to_json(const std::vector<RowResult>& results,
                     const std::vector<ShardedResult>& sharded, bool small) {
   std::string json = "{\"bench\":\"fleet_scale\",\"unit\":\"events/sec\"";
@@ -319,8 +297,7 @@ std::string to_json(const std::vector<RowResult>& results,
   json += core::rank_kernel_simd_available() ? "true" : "false";
   json += ",\"avx512_available\":";
   json += core::rank_kernel_avx512_available() ? "true" : "false";
-  json += ",\"host_threads\":" +
-          std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+  json += ",\"host_threads\":" + std::to_string(bench::host_threads());
   json += ",\"cases\":[";
   bool first = true;
   for (const RowResult& r : results) {
@@ -329,8 +306,8 @@ std::string to_json(const std::vector<RowResult>& results,
     json += "{\"policy\":\"" + std::string(r.row.policy) + "\"";
     json += ",\"slaves\":" + std::to_string(r.row.slaves);
     json += ",\"tasks\":" + std::to_string(r.row.tasks);
-    json += ",\"events_per_sec_heap\":" + fmt(r.heap_eps);
-    json += ",\"events_per_sec_calendar\":" + fmt(r.calendar_eps);
+    json += ",\"events_per_sec_scalar\":" + fmt(r.scalar_eps);
+    json += ",\"events_per_sec_kernel\":" + fmt(r.kernel_eps);
     json += ",\"speedup\":" + fmt(r.speedup());
     json += ",\"kernel_scalar_mprobes\":" + fmt(r.kernel_scalar_mps);
     json += ",\"kernel_simd_mprobes\":" + fmt(r.kernel_simd_mps);
@@ -370,8 +347,8 @@ const char* const kSchemaKeys[] = {
     "\"bench\":\"fleet_scale\"", "\"unit\":\"events/sec\"",
     "\"scale\":",                "\"cases\":",
     "\"policy\":",               "\"slaves\":",
-    "\"tasks\":",                "\"events_per_sec_heap\":",
-    "\"events_per_sec_calendar\":", "\"speedup\":",
+    "\"tasks\":",                "\"events_per_sec_scalar\":",
+    "\"events_per_sec_kernel\":", "\"speedup\":",
     "\"setup_sec\":",            "\"rss_peak_kb\":",
     "\"simd_available\":",       "\"kernel_scalar_mprobes\":",
     "\"kernel_simd_mprobes\":",  "\"kernel_simd_speedup\":",
@@ -384,58 +361,26 @@ const char* const kSchemaKeys[] = {
     "\"argmin_simd_mprobes\":",    "\"argmin_simd_speedup\":",
 };
 
-int check_schema(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "bench_fleet_scale: cannot read " << path << "\n";
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string contents = buffer.str();
-  int missing = 0;
-  for (const char* key : kSchemaKeys) {
-    if (contents.find(key) == std::string::npos) {
-      std::cerr << "schema drift: " << path << " is missing " << key << "\n";
-      ++missing;
-    }
-  }
-  if (missing == 0) std::cout << path << ": schema OK\n";
-  return missing == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool small = false;
-  bool json = false;
-  std::string json_path = "BENCH_fleet.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale=small") {
-      small = true;
-    } else if (arg == "--scale=full") {
-      small = false;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--check-schema=", 0) == 0) {
-      return check_schema(arg.substr(15));
-    } else {
-      std::cerr << "usage: bench_fleet_scale [--scale=small|full] "
-                   "[--json[=FILE]] [--check-schema=FILE]\n";
-      return 1;
-    }
+  bench::PerfArgs args;
+  if (!bench::parse_perf_args(argc, argv, "bench_fleet_scale",
+                              "BENCH_fleet.json", args)) {
+    return 1;
   }
+  if (!args.check_schema.empty()) {
+    return bench::check_schema(args.check_schema, kSchemaKeys,
+                               "bench_fleet_scale");
+  }
+  const bool small = args.small;
 
   std::vector<RowResult> results;
   for (const Row& row : rows_for_scale(small)) {
     RowResult r = run_row(row);
     std::cout << r.row.policy << " m=" << r.row.slaves << " n=" << r.row.tasks
-              << ": heap " << r.heap_eps << " ev/s, calendar "
-              << r.calendar_eps << " ev/s (x" << r.speedup() << "), kernel "
+              << ": scalar " << r.scalar_eps << " ev/s, kernel "
+              << r.kernel_eps << " ev/s (x" << r.speedup() << "), batch "
               << r.kernel_scalar_mps << " -> " << r.kernel_simd_mps
               << " Mprobe/s (x" << r.kernel_speedup() << "), argmin "
               << r.argmin_scalar_mps << " -> " << r.argmin_simd_mps
@@ -444,13 +389,8 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  std::cout << "simd kernel: "
-            << (core::rank_kernel_avx512_available()
-                    ? "avx512"
-                    : core::rank_kernel_simd_available() ? "avx2"
-                                                         : "scalar fallback")
-            << ", host threads: "
-            << std::max(1u, std::thread::hardware_concurrency()) << "\n";
+  std::cout << "simd kernel: " << bench::simd_name()
+            << ", host threads: " << bench::host_threads() << "\n";
 
   std::vector<ShardedResult> sharded;
   for (const ShardedRow& row : sharded_rows_for_scale(small)) {
@@ -465,14 +405,9 @@ int main(int argc, char** argv) {
     sharded.push_back(r);
   }
 
-  if (json) {
-    std::ofstream out(json_path);
-    out << to_json(results, sharded, small) << "\n";
-    if (!out) {
-      std::cerr << "bench_fleet_scale: cannot write " << json_path << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << json_path << "\n";
+  if (args.json) {
+    return bench::write_json(args.json_path, to_json(results, sharded, small),
+                             "bench_fleet_scale");
   }
   return 0;
 }

@@ -15,21 +15,13 @@
 // both columns time the same HedgePolicy: they measure run-to-run noise
 // rather than a projection gap.
 //
-// Modes (the bench_fleet_scale conventions):
-//   (no args)            full-scale table to stdout
-//   --scale=small        reduced rows (CI smoke on shared runners)
-//   --json[=FILE]        also write machine-readable BENCH_meta.json
-//   --check-schema=FILE  no benching: verify FILE carries every key this
-//                        binary emits (schema-drift guard for the committed
-//                        BENCH_meta.json); exit 1 on drift.
+// Modes: the shared perf-bench command line (bench/perf_common.hpp), with
+// BENCH_meta.json as the --json artifact.
 
-#include <sys/resource.h>
-
+#include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,22 +31,17 @@
 #include "core/rank_kernel.hpp"
 #include "experiments/campaign.hpp"
 #include "platform/generator.hpp"
+#include "perf_common.hpp"
 #include "support/engine_projection.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace msol;
+using bench::fmt;
 
 // Keeps simulate() results observable without google-benchmark.
 volatile double g_sink = 0.0;
-
-/// Peak resident set of this process so far, in kilobytes.
-long peak_rss_kb() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;
-}
 
 struct Row {
   const char* spec;
@@ -158,7 +145,7 @@ RowResult run_row(const Row& row) {
                                            row.reps);
   out.rebuild = best_decisions_per_sec(plat, work, spec,
                                        /*rebuild=*/true, row.reps);
-  out.rss_peak_kb = peak_rss_kb();
+  out.rss_peak_kb = bench::peak_rss_kb();
   return out;
 }
 
@@ -179,12 +166,6 @@ std::vector<Row> rows_for_scale(bool small) {
           {"portfolio:LS;SRPT;rank:queue;rank:ready+horizon:6", 1024, 3000, 2},
           {"hedge:LS;rank:queue+window:8+hyst:2", 256, 3000, 2},
           {"hedge:LS;rank:queue+window:8+hyst:2", 1024, 3000, 2}};
-}
-
-std::string fmt(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 std::string to_json(const std::vector<RowResult>& results, bool small) {
@@ -241,54 +222,21 @@ const char* const kSchemaKeys[] = {
     "\"rss_peak_kb\":",
 };
 
-int check_schema(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "bench_meta_perf: cannot read " << path << "\n";
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string contents = buffer.str();
-  int missing = 0;
-  for (const char* key : kSchemaKeys) {
-    if (contents.find(key) == std::string::npos) {
-      std::cerr << "schema drift: " << path << " is missing " << key << "\n";
-      ++missing;
-    }
-  }
-  if (missing == 0) std::cout << path << ": schema OK\n";
-  return missing == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool small = false;
-  bool json = false;
-  std::string json_path = "BENCH_meta.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale=small") {
-      small = true;
-    } else if (arg == "--scale=full") {
-      small = false;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--check-schema=", 0) == 0) {
-      return check_schema(arg.substr(15));
-    } else {
-      std::cerr << "usage: bench_meta_perf [--scale=small|full] "
-                   "[--json[=FILE]] [--check-schema=FILE]\n";
-      return 1;
-    }
+  bench::PerfArgs args;
+  if (!bench::parse_perf_args(argc, argv, "bench_meta_perf",
+                              "BENCH_meta.json", args)) {
+    return 1;
+  }
+  if (!args.check_schema.empty()) {
+    return bench::check_schema(args.check_schema, kSchemaKeys,
+                               "bench_meta_perf");
   }
 
   std::vector<RowResult> results;
-  for (const Row& row : rows_for_scale(small)) {
+  for (const Row& row : rows_for_scale(args.small)) {
     RowResult r = run_row(row);
     std::cout << r.row.spec << " m=" << r.row.slaves << " n=" << r.row.tasks
               << ": rebuild " << r.rebuild.dps << " dec/s, incremental "
@@ -300,21 +248,11 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  std::cout << "simd kernel: "
-            << (core::rank_kernel_avx512_available()
-                    ? "avx512"
-                    : core::rank_kernel_simd_available() ? "avx2"
-                                                         : "scalar fallback")
-            << "\n";
+  std::cout << "simd kernel: " << bench::simd_name() << "\n";
 
-  if (json) {
-    std::ofstream out(json_path);
-    out << to_json(results, small) << "\n";
-    if (!out) {
-      std::cerr << "bench_meta_perf: cannot write " << json_path << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << json_path << "\n";
+  if (args.json) {
+    return bench::write_json(args.json_path, to_json(results, args.small),
+                             "bench_meta_perf");
   }
   return 0;
 }

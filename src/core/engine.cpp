@@ -70,8 +70,8 @@ void OnePortEngine::reset(platform::Platform platform,
   slave_comp_ends_.resize(m);
   for (std::vector<Time>& ends : slave_comp_ends_) ends.clear();
   committed_ = 0;
-  events_.configure(options_.event_queue);  // also drops any stale entries
-  wake_gen_ = 0;
+  events_.clear();
+  wake_at_.reset();
   schedule_.clear();
   trace_.clear();
 
@@ -134,10 +134,7 @@ void OnePortEngine::reset(platform::Platform platform,
       slave_speed_[j] = span.speed;
     }
     const Time nb = cur.next_begin();
-    if (std::isfinite(nb)) {
-      events_.push(nb, EventKind::kAvailability);
-      avail_due_.emplace_back(nb, static_cast<SlaveId>(j));
-    }
+    if (std::isfinite(nb)) avail_due_.emplace_back(nb, static_cast<SlaveId>(j));
   }
   std::make_heap(avail_due_.begin(), avail_due_.end(), std::greater<>());
 }
@@ -355,7 +352,6 @@ void OnePortEngine::process_avail_transitions() {
     while (cur.next_begin() <= due) apply_avail_span(j, cur.advance());
     const Time nb = cur.next_begin();
     if (std::isfinite(nb)) {
-      events_.push(nb, EventKind::kAvailability);
       avail_due_.emplace_back(nb, slave);
       std::push_heap(avail_due_.begin(), avail_due_.end(), std::greater<>());
     }
@@ -406,13 +402,13 @@ bool OnePortEngine::try_decide() {
       trace_.record(TraceEvent{TraceEvent::Kind::kWaitUntil, now_, -1, -1,
                                wait->time});
     }
-    if (wait->time > now_ + kTimeEps) {
-      events_.push(wait->time, EventKind::kSchedulerWake, ++wake_gen_);
-    }
+    // A newer future request supersedes the live one; one at or before
+    // now() + kTimeEps is a plain Defer and leaves the live one in force.
+    if (wait->time > now_ + kTimeEps) wake_at_ = wait->time;
     return false;
   }
   const Assign assign = std::get<Assign>(decision);
-  ++wake_gen_;  // an assignment cancels any outstanding WaitUntil request
+  wake_at_.reset();  // an assignment cancels any outstanding WaitUntil request
   commit(assign.task, assign.slave);
   return true;
 }
@@ -544,33 +540,26 @@ std::optional<Time> OnePortEngine::next_wakeup() {
   auto consider = [&](Time t) {
     if (t > now_ + kTimeEps && (!best || t < *best)) best = t;
   };
-  // Releases already sit in a sorted calendar (release_order_ plus a
-  // cursor), and a port's busy-until is a tiny array bounded by the port
-  // capacity — both are O(1)-ish to consult directly, so pushing them
-  // through the heap would only add traffic. The heap carries what the
-  // reference engine has to *scan* for: the per-slave completion instants
-  // (its O(slaves * log tasks) inner loop) and WaitUntil wake-ups.
+  // Every source is consulted exactly once. Releases sit in a sorted
+  // cursor, port frees in a capacity-bounded array, availability
+  // transitions in their due-heap (process_avail_transitions() has already
+  // popped everything due, so the front is the next one) and the live
+  // WaitUntil in one slot. Only the per-slave completion instants, which
+  // the reference engine has to scan for, go through the event queue.
   if (next_release_idx_ < release_order_.size()) {
     const TaskId id = release_order_[next_release_idx_];
     consider(task_specs_[static_cast<std::size_t>(id)].release);
   }
   for (Time t : port_busy_until_) consider(t);
-  // Lazy pruning: an entry at or before now() can never matter again (time
-  // only moves forward), and a wake entry whose generation was superseded
-  // by a newer request or an assignment is dead no matter its time. Every
-  // surviving entry is a *current* fact — a committed completion, or the
-  // live WaitUntil — so the heap minimum equals the minimum the reference
-  // engine derives from its completion-list scans.
-  while (!events_.empty()) {
-    const Event& top = events_.top();
-    if (top.time <= now_ + kTimeEps ||
-        (top.kind == EventKind::kSchedulerWake && top.gen != wake_gen_)) {
-      events_.pop();
-      continue;
-    }
-    consider(top.time);
-    break;
+  if (!avail_due_.empty()) consider(avail_due_.front().first);
+  if (wake_at_) consider(*wake_at_);
+  // Lazy pruning: a completion at or before now() can never matter again
+  // (time only moves forward), so the surviving minimum is the one the
+  // reference engine derives from its completion-list scans.
+  while (!events_.empty() && events_.top().time <= now_ + kTimeEps) {
+    events_.pop();
   }
+  if (!events_.empty()) consider(events_.top().time);
   return best;
 }
 
@@ -600,9 +589,9 @@ void OnePortEngine::run_to_completion() {
     process_avail_transitions();
     process_releases();
     if (try_decide()) continue;
-    // Once every task has a completed record, the only calendar entries
-    // left can be future availability transitions (and their wake-ups);
-    // draining them would drag now() past the true completion time.
+    // Once every task has a completed record, the only wake-ups left can
+    // be future availability transitions; draining them would drag now()
+    // past the true completion time.
     if (avail_enabled_ && pending_count_ == 0 &&
         next_release_idx_ >= release_order_.size() &&
         schedule_.size() == total_tasks()) {

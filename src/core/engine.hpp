@@ -105,9 +105,6 @@ struct EngineOptions {
   std::vector<SlaveId> lazy_stream_ids;
   /// Record a decision/event log readable via OnePortEngine::trace().
   bool enable_trace = false;
-  /// Event-calendar implementation. Behavior is identical either way —
-  /// only the cost of push/pop changes.
-  EventQueueImpl event_queue = EventQueueImpl::kCalendar;
   /// Disable the batched ranking-kernel probe paths: slave_state() reports
   /// empty and the batch probes fall back to the generic per-slave virtual
   /// loops. This is the measurable pre-kernel baseline bench_fleet_scale
@@ -138,15 +135,16 @@ struct DisruptionStats {
 ///  * the scheduler is consulted whenever a port is free and a released task
 ///    is pending, and may Defer (leave the master idle until the next event).
 ///
-/// Decision instants come from an event calendar: slave completions and
-/// WaitUntil wake-ups are pushed into an EventQueue (a bucketed calendar
-/// queue by default, O(1) amortized; a binary min-heap behind
-/// EngineOptions::event_queue) when they become known and consumed
-/// lazily, while releases keep their sorted cursor and
-/// port frees their capacity-bounded array. Advancing time thus costs O(1)
-/// amortized instead of the O(slaves * log tasks) scan the pre-calendar
-/// engine (retained verbatim as the test-support reference engine,
-/// tests/support/reference_engine.hpp) performs at every step.
+/// Decision instants come from five wake-up sources, each consulted exactly
+/// once per step: releases through their sorted cursor, port frees through
+/// their capacity-bounded array, availability transitions through the
+/// front of their due-heap, the one live WaitUntil request through a single
+/// slot, and slave completions through an EventQueue (a binary min-heap
+/// holding completion instants only, pushed at commit and pruned lazily
+/// once passed). Advancing time thus costs O(log m) instead of the
+/// O(slaves * log tasks) scan the original engine (retained verbatim as
+/// the test-support reference engine, tests/support/reference_engine.hpp)
+/// performs at every step.
 /// The pending set is a bucketed FIFO slot index (dense slot vector with
 /// tombstones and per-64-slot live counts), making commit() O(1) where the
 /// reference engine pays an O(pending) find + erase, and letting bulk
@@ -169,9 +167,9 @@ struct DisruptionStats {
 /// Time-varying availability (EngineOptions::availability or
 /// lazy_availability): each slave replays a deterministic timeline of
 /// outages and speed drift through one AvailabilityCursor, whichever source
-/// backs it, realized as kAvailability calendar events. A due-heap keyed on
-/// each cursor's next transition finds the slaves a transition instant
-/// touches without visiting the others. Semantics:
+/// backs it. A due-heap keyed on each cursor's next transition is both the
+/// wake-up source for transition instants and the index that finds the
+/// slaves an instant touches without visiting the others. Semantics:
 ///  * a slave transitioning offline aborts *every* task committed to it and
 ///    not yet completed (queued, computing, or still on the link): partial
 ///    compute is discarded (DisruptionStats::lost_work), the tasks rejoin
@@ -328,9 +326,9 @@ class OnePortEngine final : public EngineView {
   /// One decision round; returns true if an assignment was committed.
   bool try_decide();
   void commit(TaskId task, SlaveId slave);
-  /// Earliest event strictly after now() (release, port free, completion,
-  /// live wake-up), or nullopt when nothing is scheduled to happen. Prunes
-  /// stale calendar entries, hence non-const.
+  /// Earliest event strictly after now() (release, port free, availability
+  /// transition, live WaitUntil, completion), or nullopt when nothing is
+  /// scheduled to happen. Pops passed completions, hence non-const.
   std::optional<Time> next_wakeup();
 
   /// Appends to the delta log when the feed is enabled (see
@@ -398,11 +396,13 @@ class OnePortEngine final : public EngineView {
   std::vector<std::vector<Time>> slave_comp_ends_;
   int committed_ = 0;
 
+  /// Completion instants of committed tasks (the heap; nothing else is
+  /// ever pushed). Entries at or before now() are popped by next_wakeup().
   EventQueue events_;
-  /// Generation stamp for WaitUntil calendar entries: bumped by every new
-  /// request and by every assignment, so superseded wake-ups are pruned
-  /// lazily instead of searched for.
-  std::uint32_t wake_gen_ = 0;
+  /// The live WaitUntil request, if any. At most one is live: a newer
+  /// future request replaces it and an assignment clears it; a request at
+  /// or before now() + kTimeEps leaves it untouched.
+  std::optional<Time> wake_at_;
 
   /// --- time-varying availability state (inert when !avail_enabled_) ------
   bool avail_enabled_ = false;

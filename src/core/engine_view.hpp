@@ -17,7 +17,7 @@ namespace msol::core {
 /// releases, which is what makes the policies on-line.
 ///
 /// Two production classes implement this interface: the OnePortEngine
-/// (event-calendar driven, see engine.hpp) and the meta layer's
+/// (event driven, see engine.hpp) and the meta layer's
 /// IncrementalProjection (algorithms/meta/projection.hpp), which forward-
 /// simulates portfolio members over a mirror of a live engine. Test support
 /// adds the frozen reference engine (the original scan-based loop,

@@ -9,9 +9,7 @@ namespace msol::core {
 
 namespace {
 
-/// Binary-heap ordering (earliest time on top). Kept byte-for-byte what the
-/// pre-calendar EventQueue used, so the heap fallback *is* the retained
-/// baseline, not a re-implementation of it.
+/// Binary-heap ordering (earliest time on top).
 struct Later {
   bool operator()(const Event& a, const Event& b) const {
     return a.time > b.time;

@@ -8,16 +8,17 @@
 
 namespace msol::core {
 
-/// What a calendar entry announces. Entries carry no payload beyond the
+/// What a queue entry announces. Entries carry no payload beyond the
 /// instant: the engine re-derives all state from its own bookkeeping when it
-/// wakes, so a stale entry is at worst a no-op wake-up that the engine prunes
+/// wakes, so a passed entry is at worst a no-op that the engine prunes
 /// before acting (see OnePortEngine::next_wakeup).
 ///
-/// Only the event families that would otherwise need a scan live in the
-/// queue. Releases keep their sorted-order cursor and port frees their
-/// capacity-bounded array (both O(1)-ish to consult), so enqueueing them
-/// would be pure overhead — measured at ~25% of engine time on small
-/// platforms.
+/// OnePortEngine pushes kCompletion entries only: the one family it would
+/// otherwise have to scan for. Releases, port frees, availability
+/// transitions and the live WaitUntil each have their own O(1)-to-consult
+/// source in the engine. The other kinds remain part of the entry format
+/// until the calendar queue is retired (tests/test_event_queue.cpp pushes
+/// them).
 enum class EventKind : std::uint8_t {
   kCompletion,     ///< a slave finishes one task (the last one pending on a
                    ///< slave doubles as its slave-free instant)
@@ -26,10 +27,9 @@ enum class EventKind : std::uint8_t {
                    ///< (outage begin/end or speed drift) at this instant
 };
 
-/// One calendar entry. `gen` is a caller-managed generation stamp used to
-/// invalidate entries lazily (scheduler wake-ups are superseded by newer
-/// requests or by an assignment); kinds that are facts once emitted
-/// (releases, port frees, completions) leave it at 0.
+/// One queue entry. `gen` is a caller-managed generation stamp a caller may
+/// use to invalidate entries lazily; kinds that are facts once emitted
+/// (completions, the only kind OnePortEngine pushes) leave it at 0.
 struct Event {
   Time time = 0.0;
   EventKind kind = EventKind::kCompletion;
@@ -38,41 +38,41 @@ struct Event {
 
 /// Which machinery orders the pending events.
 ///
+///   kHeap     — binary min-heap, O(log n) per op: the default, and the only
+///               queue OnePortEngine uses. The engine's queue holds in-flight
+///               completions only, at most about m entries, a size that
+///               suits a heap.
 ///   kCalendar — Brown-style bucketed calendar queue: O(1) amortized push
-///               and pop for the engine's event pattern (a dense moving
-///               window of near-future instants). The fleet-scale default.
-///   kHeap     — the original binary min-heap: O(log n) per op, but immune
-///               to pathological time distributions (e.g. everything at one
-///               instant, where a calendar degenerates to one bucket). Also
-///               the retained baseline the differential harness compares
-///               the calendar engine against.
+///               and pop for a dense moving window of near-future instants.
+///               No production path uses it; it stays solely for
+///               perfbench's event-queue replay probe
+///               (core.event_queue.calendar_ns_per_op).
 ///
 /// The choice is made at construction / configure() time; there is no
 /// mid-stream migration.
 enum class EventQueueImpl : std::uint8_t { kCalendar, kHeap };
 
-/// The single source of future wake-up instants for the event-driven
-/// engine. Replaces the per-step linear scans over ports, slaves and
-/// per-slave completion lists that the pre-calendar engine (retained as the
-/// test-support reference engine) performs in its next_wakeup().
+/// The event-driven engine's source of future completion instants.
+/// Replaces the per-step linear scans over slaves and per-slave completion
+/// lists that the original engine (retained as the test-support reference
+/// engine) performs in its next_wakeup().
 ///
 /// Contract (all the engine relies on, and all the two implementations
 /// promise): pop() consumes entries in nondecreasing time order, top() is
 /// an entry of minimum time, and nothing is ever lost or duplicated. Ties
 /// on time may surface in any implementation-specific order — only the
-/// minimum *instant* is ever consumed, never the entry identity, which is
-/// what lets a calendar queue replace the heap without changing a byte of
-/// engine behavior (tests/test_event_queue.cpp fuzzes exactly this
-/// contract; tests/test_engine_diff.cpp proves engine-level identity).
+/// minimum *instant* is ever consumed, never the entry identity
+/// (tests/test_event_queue.cpp fuzzes exactly this contract against both
+/// implementations).
 ///
 /// Deletion is lazy: consumers pop entries that their own state proves
-/// stale (in the past, or generation-superseded).
+/// stale (in the past, or superseded by the caller's own `gen` stamps).
 ///
 /// Times must be non-negative and finite (simulation instants); push
 /// throws std::invalid_argument otherwise.
 class EventQueue {
  public:
-  explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kCalendar);
+  explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kHeap);
 
   /// Re-selects the implementation and drops every entry (allocations are
   /// kept, so a reused engine stops paying per-cell growth in grid sweeps).

@@ -38,7 +38,7 @@ using Decision = std::variant<Assign, Defer, WaitUntil>;
 /// committed past and the currently released tasks through the EngineView
 /// interface — never future releases, which is what makes it on-line.
 /// Policies take the abstract view (not a concrete engine) so the same
-/// instance can drive both the event-calendar OnePortEngine and the frozen
+/// instance can drive both the event-driven OnePortEngine and the frozen
 /// reference engine the differential tests compare against (a test-support
 /// oracle, tests/support/reference_engine.hpp).
 class OnlineScheduler {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -109,13 +110,15 @@ std::string fmt_exact(double value) {
     out << value;
     return out.str();
   }
+  // "%.*g" is how iostreams format the default floatfield at a given
+  // precision, so this prints what `os.precision(p); os << value` would,
+  // without building a stream per attempt.
+  char buf[32];
   for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
+    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
     // strtod, not stod: stod throws out_of_range on subnormal input, and a
     // tiny-but-valid metric value must not abort a whole run mid-output.
-    if (std::strtod(out.str().c_str(), nullptr) == value) return out.str();
+    if (std::strtod(buf, nullptr) == value) return buf;
   }
   return std::to_string(value);  // unreachable: precision 17 round-trips
 }

@@ -1,7 +1,7 @@
 // The decision loop below is the original engine implementation, kept
 // byte-for-byte where possible (only renames and the EngineView adapter
 // methods differ). It is the oracle the differential fuzz suite compares
-// the event-calendar engine against — keep it boring.
+// the event-driven engine against — keep it boring.
 
 #include "support/reference_engine.hpp"
 
@@ -19,7 +19,7 @@ ReferenceEngine::ReferenceEngine(platform::Platform platform,
   }
   // The frozen oracle predates time-varying availability; trivial (all
   // empty) profiles are accepted so the differential suite can prove the
-  // calendar engine's disabled path, anything else is refused loudly.
+  // production engine's disabled path, anything else is refused loudly.
   for (const platform::AvailabilityProfile& profile : options_.availability) {
     if (!profile.trivial()) {
       throw std::invalid_argument(

@@ -10,7 +10,7 @@
 
 namespace msol::core {
 
-/// The pre-calendar one-port engine, retained verbatim as the semantic
+/// The original scan-based one-port engine, retained verbatim as the semantic
 /// oracle for the event-driven OnePortEngine. Test support only: linked by
 /// the tests and benches that diff or time against it (msol_test_support),
 /// never by libmsol.
@@ -21,7 +21,7 @@ namespace msol::core {
 /// O(pending) per commitment. That is exactly why it was replaced on the
 /// hot path (bench_engine_perf quantifies the gap), and exactly why it is
 /// kept: the scans are simple enough to audit by eye, share no event
-/// plumbing with the calendar engine, and define the model's semantics.
+/// plumbing with the production engine, and define the model's semantics.
 /// tests/test_engine_diff.cpp runs every registered scheduler against both
 /// engines and requires bit-identical schedules and traces; do not
 /// "optimize" this class.

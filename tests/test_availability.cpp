@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -239,6 +240,35 @@ TEST(EngineAvailability, OutageAbortsInFlightTaskAndRedispatchesIt) {
           << "task " << r.task << " computes on a dead slave";
     }
   }
+}
+
+TEST(EngineAvailability, FullyOfflineFleetWakesAtTheFirstRecovery) {
+  // Every slave is down from t=0 with work pending: no release, port free
+  // or completion is left to wake the master, so the only instant that can
+  // is slave 0's recovery at t=4 — the first send must start exactly there
+  // (a lost availability wake-up deadlocks or sends late instead).
+  const platform::Platform plat = two_slaves();
+  std::vector<platform::AvailabilityProfile> profiles(2);
+  profiles[0] = platform::AvailabilityProfile(
+      {{0.0, false, 1.0}, {4.0, true, 1.0}});
+  profiles[1] = platform::AvailabilityProfile(
+      {{0.0, false, 1.0}, {7.0, true, 1.0}});
+
+  const Workload work = Workload::all_at_zero(3);
+  const auto ls = algorithms::make_scheduler("LS", 3);
+  const EngineOptions options = with_profiles(profiles);
+  const Schedule schedule = simulate(plat, work, *ls, options);
+
+  ASSERT_EQ(schedule.size(), 3);
+  Time first_send = schedule.at(0).send_start;
+  for (const TaskRecord& r : schedule.records()) {
+    first_send = std::min(first_send, r.send_start);
+    if (r.slave == 1) {
+      EXPECT_GE(r.send_start, 7.0) << "task " << r.task;
+    }
+  }
+  EXPECT_EQ(first_send, 4.0);
+  validate_or_throw(plat, work, schedule, options);
 }
 
 TEST(EngineAvailability, SpeedDriftRescalesRemainingWork) {

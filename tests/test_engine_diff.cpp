@@ -1,17 +1,18 @@
-// Differential fuzz: the event-calendar OnePortEngine must be
+// Differential fuzz: the event-driven OnePortEngine must be
 // *bit-identical* to the frozen ReferenceEngine — same schedule records,
 // same makespan, same trace event sequence — across randomized platforms,
 // workloads (including the inhomogeneous-Poisson and heavy-tail mixes),
 // every scheduler in the registry, port capacities and slowdown windows.
 // 500+ cases run as sharded gtest params so a failure pinpoints its seed.
 //
-// Half of the calendar-engine runs go through a *reused* engine (reset()
+// Half of the OnePortEngine runs go through a *reused* engine (reset()
 // between cases) instead of a fresh one, so incomplete state clearing in
 // reset() shows up as a cross-case divergence here.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -33,10 +34,13 @@ constexpr int kShards = 25;
 constexpr int kCasesPerShard = 20;  // 25 x 20 = 500 base cases
 
 /// Legal-but-chaotic policy: random assignments from arbitrary pending
-/// positions, plus bounded WaitUntil stalls. No registry scheduler ever
-/// returns WaitUntil, so without this policy the calendar engine's
-/// generation-stamped kSchedulerWake invalidation (wake_gen_) would sit
-/// outside the differential proof entirely.
+/// positions, plus bounded WaitUntil stalls. Among registry schedulers only
+/// specs with a `gate:pace` component return WaitUntil, and the registry
+/// rotation below carries none, so without this policy the engine's
+/// single live-wake slot (a newer request replaces it, an assignment
+/// clears it) would sit outside the randomized differential proof. The
+/// directed WaitUntil cases further down cover the requests it never
+/// emits: ones at or before now() + kTimeEps.
 class ChaoticPolicy : public OnlineScheduler {
  public:
   explicit ChaoticPolicy(std::uint64_t seed) : rng_(seed) {}
@@ -47,8 +51,7 @@ class ChaoticPolicy : public OnlineScheduler {
     if (roll <= 2) {
       // Strictly-future wake-ups only (a past request degrades to a plain
       // Defer, which can legitimately deadlock a quiet system); successive
-      // requests supersede each other and assignments cancel them, driving
-      // the calendar engine's generation-stamp pruning.
+      // requests supersede each other and assignments cancel them.
       return WaitUntil{engine.now() + rng_.uniform(0.01, 0.5)};
     }
     const std::vector<TaskId> pending = engine.pending_tasks();
@@ -187,7 +190,7 @@ void expect_identical(const EngineView& actual, const EngineView& expected,
 
 class EngineDiff : public ::testing::TestWithParam<int> {};
 
-TEST_P(EngineDiff, CalendarEngineMatchesReferenceBitExactly) {
+TEST_P(EngineDiff, OnePortEngineMatchesReferenceBitExactly) {
   // A single reused engine across all of this shard's cases: a case with
   // fewer slaves/tasks than its predecessor would expose stale state.
   OnePortEngine reused;
@@ -352,17 +355,130 @@ TEST_P(EngineDiffProbes, RunUntilAndInjectMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, EngineDiffProbes, ::testing::Range(0, 5));
 
+// ----- directed WaitUntil cases ---------------------------------------------
+//
+// ChaoticPolicy only ever requests strictly-future wake-ups at random
+// instants. These scripts pin each rule of the engine's single live-wake
+// slot on a one-slave platform (c = p = 1) against the reference engine,
+// and additionally assert the instants at which the policy was consulted,
+// so a rule both engines got wrong would still fail.
+
+/// Replays `script` (one decision-maker per consult, in order) and then
+/// assigns the pending front to slave 0 for every later consult. Records
+/// the instant of every consult.
+class ScriptedPolicy : public OnlineScheduler {
+ public:
+  using Step = std::function<Decision(const EngineView&)>;
+  explicit ScriptedPolicy(std::vector<Step> script)
+      : script_(std::move(script)) {}
+  std::string name() const override { return "SCRIPT"; }
+
+  Decision decide(const EngineView& engine) override {
+    const std::size_t k = consults_.size();
+    consults_.push_back(engine.now());
+    if (k < script_.size()) return script_[k](engine);
+    return Assign{engine.pending_front(), 0};
+  }
+
+  const std::vector<Time>& consults() const { return consults_; }
+
+ private:
+  std::vector<Step> script_;
+  std::vector<Time> consults_;
+};
+
+ScriptedPolicy::Step wait_until(Time t) {
+  return [t](const EngineView&) { return Decision{WaitUntil{t}}; };
+}
+
+ScriptedPolicy::Step assign_front() {
+  return [](const EngineView& engine) {
+    return Decision{Assign{engine.pending_front(), 0}};
+  };
+}
+
+ScriptedPolicy::Step defer() {
+  return [](const EngineView&) { return Decision{Defer{}}; };
+}
+
+/// Runs the script on both engines and returns the consult instants
+/// (after asserting the two engines agree on everything).
+std::vector<Time> run_script(const std::vector<Time>& releases,
+                             const std::vector<ScriptedPolicy::Step>& script,
+                             const std::string& label) {
+  const platform::Platform plat = platform::Platform::homogeneous(1, 1.0, 1.0);
+  const Workload work = Workload::from_releases(releases);
+  EngineOptions options;
+  options.enable_trace = true;
+
+  ScriptedPolicy policy_a(script);
+  OnePortEngine actual(plat, policy_a, options);
+  actual.load(work);
+  actual.run_to_completion();
+
+  ScriptedPolicy policy_e(script);
+  ReferenceEngine expected(plat, policy_e, options);
+  expected.load(work);
+  expected.run_to_completion();
+
+  expect_identical(actual, expected, label);
+  EXPECT_EQ(policy_a.consults(), policy_e.consults()) << label;
+  return policy_a.consults();
+}
+
+TEST(EngineDiffWaitUntil, NewerRequestSupersedesTheLiveOne) {
+  // t=0 asks for 3; the release at t=1 re-asks for 4. Only 4 may wake the
+  // master: a consult at 3 would mean the superseded request stayed live.
+  EXPECT_EQ(run_script({0.0, 1.0}, {wait_until(3.0), wait_until(4.0)},
+                       "later request"),
+            (std::vector<Time>{0.0, 1.0, 4.0, 5.0}));
+  // Superseded by an earlier request: 2 wakes, and the replaced 5 must not
+  // fire after the t=2 request for 6.
+  EXPECT_EQ(run_script({0.0, 1.0},
+                       {wait_until(5.0), wait_until(2.0), wait_until(6.0)},
+                       "earlier request"),
+            (std::vector<Time>{0.0, 1.0, 2.0, 6.0, 7.0}));
+}
+
+TEST(EngineDiffWaitUntil, AssignmentCancelsTheLiveRequest) {
+  // t=0 asks for 5, the release at t=1 assigns instead. The send ends at 2
+  // and the compute at 3, both Deferred with a task pending; the next
+  // consult must be the release at 6, never the cancelled wake at 5.
+  EXPECT_EQ(run_script({0.0, 1.0, 6.0},
+                       {wait_until(5.0), assign_front(), defer(), defer()},
+                       "assign cancels"),
+            (std::vector<Time>{0.0, 1.0, 2.0, 3.0, 6.0, 7.0}));
+}
+
+TEST(EngineDiffWaitUntil, PastOrPresentRequestLeavesTheLiveOneInForce) {
+  // t=0 asks for 4; at the t=1 release the policy asks for now() and then,
+  // at the t=2 release, for now() + kTimeEps / 2. Neither lies beyond
+  // now() + kTimeEps, so both act as a Defer and the request for 4 must
+  // still wake the master.
+  const auto at_now = [](const EngineView& engine) {
+    return Decision{WaitUntil{engine.now()}};
+  };
+  const auto within_eps = [](const EngineView& engine) {
+    return Decision{WaitUntil{engine.now() + kTimeEps / 2}};
+  };
+  EXPECT_EQ(run_script({0.0, 1.0, 2.0}, {wait_until(4.0), at_now, within_eps},
+                       "non-future request"),
+            (std::vector<Time>{0.0, 1.0, 2.0, 4.0, 5.0, 6.0}));
+}
+
 // ----- scale-stratified shards ---------------------------------------------
 //
 // Fleet sizes the 500-case suite never reaches: 1k/4k slaves x 50k/100k
 // tasks. ReferenceEngine's O(pending) scans would dominate the suite's
-// runtime here, so at scale the *heap-queue, scalar-probe* OnePortEngine —
-// proven bit-identical to the reference by the shards above — is the
-// expected side, and the calendar-queue engine (with the ranking kernel on
-// even shards, scalar probes on odd ones, so kernel-vs-scalar equality is
-// itself part of the proof) must reproduce it byte for byte. ChaoticPolicy
-// is excluded: its pending_tasks() copy is O(n^2) over a 100k backlog and
-// its WaitUntil coverage is already carried by the base shards.
+// runtime here, and it cannot run availability at all, so at scale the
+// scalar-probe OnePortEngine (EngineOptions::scalar_probes, the generic
+// per-slave virtual loops, proven bit-identical to the reference by the
+// shards above) is the expected side, and the default engine with the
+// batched ranking kernel must reproduce it byte for byte — under churn
+// too, which makes this the only kernel-vs-scalar proof with offline and
+// speed lanes. ChaoticPolicy is excluded: its pending_tasks() copy is
+// O(n^2) over a 100k backlog and its WaitUntil coverage is already
+// carried by the base shards.
 //
 // Setting MSOL_DIFF_SCALE=small (sanitizer CI legs) shrinks every case
 // ~16x/25x while keeping the same structure.
@@ -382,7 +498,7 @@ constexpr ScaleCase kScaleCases[] = {
 
 class EngineDiffScale : public ::testing::TestWithParam<int> {};
 
-TEST_P(EngineDiffScale, CalendarMatchesHeapAtFleetScale) {
+TEST_P(EngineDiffScale, KernelMatchesScalarAtFleetScale) {
   ScaleCase c = kScaleCases[GetParam()];
   const char* scale_env = std::getenv("MSOL_DIFF_SCALE");
   if (scale_env != nullptr && std::string(scale_env) == "small") {
@@ -398,44 +514,42 @@ TEST_P(EngineDiffScale, CalendarMatchesHeapAtFleetScale) {
   const platform::Platform plat = platform::PlatformGenerator().generate(
       platform::PlatformClass::kFullyHeterogeneous, c.slaves, rng);
 
-  // Bursty arrivals cluster timestamps — the calendar queue's worst natural
-  // regime (many events in few buckets) — at 90% of one-port capacity.
+  // Bursty arrivals cluster timestamps (many completions near one instant)
+  // at 90% of one-port capacity.
   const double rate = 0.9 * experiments::max_throughput(plat);
   const Workload work =
       Workload::bursty(c.tasks, c.tasks / 64 + 1, 1.0 / rate, rng);
 
-  EngineOptions heap_options;
-  heap_options.event_queue = EventQueueImpl::kHeap;
-  heap_options.scalar_probes = true;
+  EngineOptions scalar_options;
+  scalar_options.scalar_probes = true;
   if (c.churn) {
     const Time horizon = 1.5 * static_cast<Time>(c.tasks) / rate;
-    heap_options.availability = platform::generate_availability(
+    scalar_options.availability = platform::generate_availability(
         platform::AvailabilityModel::kChurn, c.slaves, horizon / 4.0, 0.1,
         horizon, rng);
   }
-  EngineOptions calendar_options = heap_options;
-  calendar_options.event_queue = EventQueueImpl::kCalendar;
-  calendar_options.scalar_probes = (GetParam() % 2 == 1);
+  EngineOptions kernel_options = scalar_options;
+  kernel_options.scalar_probes = false;
 
   const auto policy_e = algorithms::make_scheduler(c.policy);
-  OnePortEngine expected(plat, *policy_e, heap_options);
+  OnePortEngine expected(plat, *policy_e, scalar_options);
   expected.load(work);
   expected.run_to_completion();
 
   const auto policy_a = algorithms::make_scheduler(c.policy);
-  OnePortEngine actual(plat, *policy_a, calendar_options);
+  OnePortEngine actual(plat, *policy_a, kernel_options);
   actual.load(work);
   actual.run_to_completion();
-  expect_identical(actual, expected, label + " [calendar vs heap]");
+  expect_identical(actual, expected, label + " [kernel vs scalar]");
 
-  // Reverse direction through reset(): the engine that just ran the
-  // calendar queue is re-pointed at the heap implementation — a stale
-  // calendar entry surviving configure() would diverge here.
+  // Reverse direction through reset(): the engine that just ran the kernel
+  // probes is re-pointed at the scalar ones — state surviving reset()
+  // would diverge here.
   const auto policy_b = algorithms::make_scheduler(c.policy);
-  actual.reset(plat, *policy_b, heap_options);
+  actual.reset(plat, *policy_b, scalar_options);
   actual.load(work);
   actual.run_to_completion();
-  expect_identical(actual, expected, label + " [heap via reused engine]");
+  expect_identical(actual, expected, label + " [scalar via reused engine]");
 }
 
 INSTANTIATE_TEST_SUITE_P(

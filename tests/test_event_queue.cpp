@@ -277,6 +277,11 @@ TEST(EventQueueEdge, GrowShrinkCyclesPreserveEntries) {
   }
 }
 
+TEST(EventQueueEdge, DefaultIsTheHeap) {
+  // OnePortEngine default-constructs its completion queue.
+  EXPECT_EQ(EventQueue().impl(), EventQueueImpl::kHeap);
+}
+
 TEST(EventQueueEdge, ConfigureSwitchesImplementationAndDropsEntries) {
   EventQueue queue(EventQueueImpl::kCalendar);
   queue.push(3.0, EventKind::kCompletion);

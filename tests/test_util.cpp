@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -199,6 +206,64 @@ TEST(Table, CsvEscapesCommasAndQuotes) {
 TEST(Table, FmtFixedPrecision) {
   EXPECT_EQ(fmt(1.23456, 3), "1.235");
   EXPECT_EQ(fmt(2.0, 1), "2.0");
+}
+
+/// fmt_exact as first written: one ostringstream per precision attempt.
+/// The production version must print exactly what this prints.
+std::string fmt_exact_streams(double value) {
+  if (!std::isfinite(value)) {
+    std::ostringstream out;
+    out << value;
+    return out.str();
+  }
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::ostringstream out;
+    out.precision(precision);
+    out << value;
+    if (std::strtod(out.str().c_str(), nullptr) == value) return out.str();
+  }
+  return std::to_string(value);
+}
+
+double from_bits(std::uint64_t bits) {
+  double value;
+  std::memcpy(&value, &bits, sizeof value);
+  return value;
+}
+
+TEST(Table, FmtExactMatchesTheStreamLoopBitForBit) {
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 0.1, 0.9, 1e-300,
+                                1e300, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                2.2250738585072014e-308,
+                                1.7976931348623157e308, 9007199254740993.0,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(20261019);
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t bits = rng.engine()();
+    values.push_back(from_bits(bits));  // any pattern, NaN/inf included
+    // Subnormals: zero exponent field, random sign and mantissa.
+    values.push_back(from_bits(bits & 0x800FFFFFFFFFFFFFULL));
+    // Integers, small and up to 2^53 and beyond.
+    values.push_back(static_cast<double>(rng.uniform_int(-1000, 1000)));
+    values.push_back(static_cast<double>(static_cast<std::int64_t>(bits >> 1) *
+                                         (i % 2 == 0 ? 1 : -1)));
+    // Short decimals, the values grid files and sinks mostly carry.
+    values.push_back(static_cast<double>(rng.uniform_int(-100000, 100000)) /
+                     1000.0);
+  }
+  for (const double v : values) {
+    ASSERT_EQ(fmt_exact(v), fmt_exact_streams(v))
+        << "bits " << std::hex << [&] {
+             std::uint64_t b;
+             std::memcpy(&b, &v, sizeof b);
+             return b;
+           }();
+  }
+  EXPECT_EQ(fmt_exact(-0.0), "-0");
+  EXPECT_EQ(fmt_exact(0.1), "0.1");
+  EXPECT_EQ(fmt_exact(5e-324), "5e-324");
 }
 
 // ---------------------------------------------------------------- cli ------
