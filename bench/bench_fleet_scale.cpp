@@ -31,6 +31,9 @@
 // advancing the K engines) — output is byte-identical at every thread
 // count, so the t2/t4 columns are pure wall-clock; the speedup they show is
 // bounded by the host's core count (reported as host_threads in the JSON).
+// Each sharded row also times ShardedEngine::validate_shards on one run:
+// the serial loop over shards at shard_threads 1 (validate_ms_t1) vs one
+// pool job per shard at shard_threads 4 (validate_ms_t4).
 // Peak RSS is recorded after every shard count.
 //
 // Modes: the shared perf-bench command line (bench/perf_common.hpp), with
@@ -103,6 +106,8 @@ struct ShardedResult {
   double sharded_eps = 0.0;  // events/sec, K=row.shards, shard_threads=1
   double sharded_t2_eps = 0.0;  // same run, shard_threads=2
   double sharded_t4_eps = 0.0;  // same run, shard_threads=4
+  double validate_ms_t1 = 0.0;  // validate_shards(), shard_threads=1
+  double validate_ms_t4 = 0.0;  // validate_shards(), shard_threads=4
   long rss_peak_kb = 0;      // process peak RSS after this shard count
   double speedup() const { return k1_eps > 0.0 ? sharded_eps / k1_eps : 0.0; }
   double thread_speedup() const {
@@ -241,6 +246,31 @@ double best_sharded_events_per_sec(const platform::Platform& plat,
   return best;
 }
 
+/// Best-of-reps wall time (ms) of validate_shards() after one hash-routed
+/// run (untimed): at shard_threads 1 that is the serial loop over shards,
+/// above it one pool job per shard.
+double best_validate_ms(const platform::Platform& plat,
+                        const core::Workload& work, const char* policy,
+                        int shards, int shard_threads, int reps) {
+  core::ShardedEngineOptions options;
+  options.shards = shards;
+  options.shard_threads = shard_threads;
+  core::ShardedEngine engine(
+      plat, [&] { return algorithms::make_scheduler(policy); },
+      std::move(options));
+  engine.load(work);
+  engine.run_to_completion();
+  double best = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    engine.validate_shards();
+    const std::chrono::duration<double, std::milli> elapsed =
+        std::chrono::steady_clock::now() - start;
+    if (r == 0 || elapsed.count() < best) best = elapsed.count();
+  }
+  return best;
+}
+
 ShardedResult run_sharded_row(const ShardedRow& row) {
   ShardedResult out;
   out.row = row;
@@ -259,6 +289,11 @@ ShardedResult run_sharded_row(const ShardedRow& row) {
                                                    row.shards, 2, row.reps);
   out.sharded_t4_eps = best_sharded_events_per_sec(plat, work, row.policy,
                                                    row.shards, 4, row.reps);
+  // Validation is cheap next to a run: best of three at every scale.
+  out.validate_ms_t1 =
+      best_validate_ms(plat, work, row.policy, row.shards, 1, 3);
+  out.validate_ms_t4 =
+      best_validate_ms(plat, work, row.policy, row.shards, 4, 3);
   out.rss_peak_kb = bench::peak_rss_kb();
   return out;
 }
@@ -334,6 +369,8 @@ std::string to_json(const std::vector<RowResult>& results,
     json += ",\"events_per_sec_sharded_t4\":" + fmt(r.sharded_t4_eps);
     json += ",\"sharded_speedup\":" + fmt(r.speedup());
     json += ",\"shard_threads_speedup\":" + fmt(r.thread_speedup());
+    json += ",\"validate_ms_t1\":" + fmt(r.validate_ms_t1);
+    json += ",\"validate_ms_t4\":" + fmt(r.validate_ms_t4);
     json += ",\"rss_peak_kb\":" + std::to_string(r.rss_peak_kb) + "}";
   }
   json += "]}";
@@ -359,6 +396,7 @@ const char* const kSchemaKeys[] = {
     "\"shard_threads_speedup\":", "\"avx512_available\":",
     "\"host_threads\":",           "\"argmin_scalar_mprobes\":",
     "\"argmin_simd_mprobes\":",    "\"argmin_simd_speedup\":",
+    "\"validate_ms_t1\":",         "\"validate_ms_t4\":",
 };
 
 }  // namespace
@@ -400,8 +438,9 @@ int main(int argc, char** argv) {
               << " ev/s, sharded " << r.sharded_eps << " ev/s (x"
               << r.speedup() << "), threads 1/2/4 " << r.sharded_eps << "/"
               << r.sharded_t2_eps << "/" << r.sharded_t4_eps << " ev/s (x"
-              << r.thread_speedup() << "), peak RSS " << r.rss_peak_kb
-              << " kb\n";
+              << r.thread_speedup() << "), validate t1/t4 "
+              << r.validate_ms_t1 << "/" << r.validate_ms_t4
+              << " ms, peak RSS " << r.rss_peak_kb << " kb\n";
     sharded.push_back(r);
   }
 

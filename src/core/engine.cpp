@@ -167,6 +167,13 @@ TaskId OnePortEngine::inject_task(TaskSpec spec) {
 
   // Keep the unprocessed suffix of release_order_ sorted by release time;
   // equal releases keep injection order so adversary task numbering is stable.
+  // A release-ordered load appends every task, so test the tail first.
+  if (release_order_.size() == next_release_idx_ ||
+      task_specs_[static_cast<std::size_t>(release_order_.back())].release <=
+          release) {
+    release_order_.push_back(id);
+    return id;
+  }
   const auto first = release_order_.begin() +
                      static_cast<std::ptrdiff_t>(next_release_idx_);
   const auto pos = std::upper_bound(

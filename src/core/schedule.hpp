@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -34,6 +35,11 @@ struct TaskRecord {
 /// evaluations the paper reports.
 class Schedule {
  public:
+  Schedule() = default;
+  /// Adopts records already in their final order (no per-record add()).
+  explicit Schedule(std::vector<TaskRecord> records)
+      : records_(std::move(records)) {}
+
   void add(TaskRecord record) { records_.push_back(record); }
 
   /// Drops all records but keeps the allocation (reusable-engine support).

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/validator.hpp"
 #include "util/rng.hpp"
 
 namespace msol::core {
@@ -25,6 +26,109 @@ ShardRouting parse_shard_routing(const std::string& text) {
   throw std::invalid_argument(
       "parse_shard_routing: unknown routing '" + text +
       "' (expected hash, round-robin, or least-loaded)");
+}
+
+namespace {
+
+/// Fills out[0, sum of (end[k] - begin[k])) with the send_start head merge
+/// of the sub-ranges [begin[k], end[k]) of each shard (ties: lower shard
+/// id), checking each record against its predecessor in the sub-range as
+/// it reads it. A pair that straddles a range boundary needs no check: a
+/// boundary is a lower_bound landing point p, so recs[p - 1] < cut <=
+/// recs[p].
+void merge_range(const std::vector<const std::vector<TaskRecord>*>& shards,
+                 const std::vector<std::size_t>& begin,
+                 const std::vector<std::size_t>& end, TaskRecord* out,
+                 const std::function<void(std::size_t, TaskRecord&)>& remap) {
+  struct Head {
+    Time key;
+    std::size_t shard;
+    std::size_t pos;
+  };
+  std::vector<Head> heads;  // non-exhausted shards, ascending shard id
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    if (begin[k] < end[k]) {
+      heads.push_back(Head{(*shards[k])[begin[k]].send_start, k, begin[k]});
+    }
+  }
+  while (!heads.empty()) {
+    std::size_t best = 0;
+    for (std::size_t h = 1; h < heads.size(); ++h) {
+      if (heads[h].key < heads[best].key) best = h;
+    }
+    Head& head = heads[best];
+    const std::vector<TaskRecord>& recs = *shards[head.shard];
+    *out = recs[head.pos];
+    if (remap) remap(head.shard, *out);
+    ++out;
+    if (++head.pos == end[head.shard]) {
+      heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(best));
+      continue;
+    }
+    const Time next = recs[head.pos].send_start;
+    if (!(head.key <= next)) {
+      throw std::logic_error(
+          "merge_by_send_start: shard " + std::to_string(head.shard) +
+          " is out of send_start order at record " +
+          std::to_string(head.pos));
+    }
+    head.key = next;
+  }
+}
+
+}  // namespace
+
+std::vector<TaskRecord> merge_by_send_start(
+    const std::vector<const std::vector<TaskRecord>*>& shards,
+    util::ThreadPool* pool,
+    const std::function<void(std::size_t, TaskRecord&)>& to_global) {
+  const std::size_t num = shards.size();
+  std::size_t total = 0;
+  std::size_t largest = 0;
+  for (std::size_t k = 0; k < num; ++k) {
+    total += shards[k]->size();
+    if (shards[k]->size() > shards[largest]->size()) largest = k;
+  }
+  // A few ranges per worker so dynamic claiming evens out uneven ranges.
+  const std::size_t width =
+      pool != nullptr ? static_cast<std::size_t>(pool->width()) : 1;
+  const std::size_t ranges = width > 1 && total > 0 ? 4 * width : 1;
+
+  // cut[r][k]: where range r starts in shard k. Ranges 1..ranges-1 start at
+  // lower_bound of a cut value sampled from the largest shard; clamping to
+  // the previous range keeps every range well formed even when a shard is
+  // out of order (merge_range then reports it).
+  std::vector<std::vector<std::size_t>> cut(
+      ranges + 1, std::vector<std::size_t>(num, 0));
+  for (std::size_t k = 0; k < num; ++k) cut[ranges][k] = shards[k]->size();
+  for (std::size_t r = 1; r < ranges; ++r) {
+    const std::vector<TaskRecord>& sample = *shards[largest];
+    const Time value = sample[sample.size() * r / ranges].send_start;
+    for (std::size_t k = 0; k < num; ++k) {
+      const std::vector<TaskRecord>& recs = *shards[k];
+      const auto at = std::lower_bound(
+          recs.begin(), recs.end(), value,
+          [](const TaskRecord& rec, Time v) { return rec.send_start < v; });
+      cut[r][k] = std::max(cut[r - 1][k],
+                           static_cast<std::size_t>(at - recs.begin()));
+    }
+  }
+  std::vector<std::size_t> offset(ranges + 1, 0);
+  for (std::size_t r = 0; r <= ranges; ++r) {
+    for (std::size_t k = 0; k < num; ++k) offset[r] += cut[r][k];
+  }
+
+  std::vector<TaskRecord> out(total);
+  const auto fill = [&](std::size_t r) {
+    merge_range(shards, cut[r], cut[r + 1], out.data() + offset[r],
+                to_global);
+  };
+  if (ranges > 1) {
+    pool->run(ranges, fill);
+  } else {
+    fill(0);
+  }
+  return out;
 }
 
 ShardedEngine::ShardedEngine(const platform::Platform& platform,
@@ -94,7 +198,7 @@ ShardedEngine::ShardedEngine(const platform::Platform& platform,
 }
 
 void ShardedEngine::for_each_shard(
-    const std::function<void(std::size_t)>& fn) {
+    const std::function<void(std::size_t)>& fn) const {
   if (pool_) {
     pool_->run(engines_.size(), fn);
   } else {
@@ -129,17 +233,37 @@ void ShardedEngine::load(const Workload& workload) {
     throw std::logic_error("ShardedEngine: load() may be called only once");
   }
   loaded_any_ = true;
-  loaded_ = workload.tasks();
-  // Stateless routings are a pure function of the injection index, so the
-  // whole slice can be preloaded and each shard runs with full workload
-  // semantics (future releases included). Least-loaded must observe shard
-  // state at each release instant — run_to_completion's epoch loop routes.
+  // Least-loaded must observe shard state at each release instant —
+  // run_to_completion's epoch loop routes.
   if (options_.routing == ShardRouting::kLeastLoaded && num_shards() > 1) {
+    loaded_ = workload.tasks();
     return;
   }
-  for (std::size_t i = 0; i < loaded_.size(); ++i) {
-    assign_to_shard(route_static(i), static_cast<TaskId>(i));
+  // Stateless routings are a pure function of the injection index, so the
+  // whole slice is preloaded and each shard runs with full workload
+  // semantics (future releases included). Route every task once, then let
+  // each shard's job gather and inject its own slice in global order.
+  const std::vector<TaskSpec>& tasks = workload.tasks();
+  std::vector<int> shard_of(tasks.size());
+  std::vector<std::size_t> count(engines_.size(), 0);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    shard_of[i] = route_static(i);
+    ++count[static_cast<std::size_t>(shard_of[i])];
   }
+  for_each_shard([&](std::size_t k) {
+    std::vector<TaskId>& ids = shard_tasks_[k];
+    std::vector<TaskSpec>& specs = shard_specs_[k];
+    ids.reserve(count[k]);
+    specs.reserve(count[k]);
+    OnePortEngine& engine = *engines_[k];
+    const int kk = static_cast<int>(k);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (shard_of[i] != kk) continue;
+      ids.push_back(static_cast<TaskId>(i));
+      specs.push_back(tasks[i]);
+      engine.inject_task(tasks[i]);
+    }
+  });
 }
 
 void ShardedEngine::run_to_completion() {
@@ -214,42 +338,29 @@ int ShardedEngine::route_least_loaded(Time t) {
 }
 
 void ShardedEngine::merge() {
-  merged_schedule_.clear();
   merged_trace_.clear();
   merged_disruption_ = DisruptionStats{};
   const int num = num_shards();
 
   // Schedules: per-shard records are in commit order, so send_start is
-  // monotone within a shard and a K-way head merge (ties to the lower
-  // shard id) yields one globally send_start-sorted, byte-stable stream.
+  // monotone within a shard and the merge yields one globally
+  // send_start-sorted, byte-stable stream (ties to the lower shard id).
   {
-    std::vector<std::size_t> pos(static_cast<std::size_t>(num), 0);
-    for (;;) {
-      int best = -1;
-      for (int k = 0; k < num; ++k) {
-        const auto& recs = shard_engine(k).schedule().records();
-        const std::size_t p = pos[static_cast<std::size_t>(k)];
-        if (p >= recs.size()) continue;
-        if (best < 0 ||
-            recs[p].send_start <
-                shard_engine(best).schedule().records()
-                    [pos[static_cast<std::size_t>(best)]].send_start) {
-          best = k;
-        }
-      }
-      if (best < 0) break;
-      const std::size_t bs = static_cast<std::size_t>(best);
-      TaskRecord rec = shard_engine(best).schedule().records()[pos[bs]++];
-      rec.task = shard_tasks_[bs][static_cast<std::size_t>(rec.task)];
-      rec.slave = partition_.global_id(best, rec.slave);
-      merged_schedule_.add(rec);
+    std::vector<const std::vector<TaskRecord>*> shards;
+    for (int k = 0; k < num; ++k) {
+      shards.push_back(&shard_engine(k).schedule().records());
     }
+    merged_schedule_ = Schedule(merge_by_send_start(
+        shards, pool_.get(), [this](std::size_t k, TaskRecord& rec) {
+          rec.task = shard_tasks_[k][static_cast<std::size_t>(rec.task)];
+          rec.slave = partition_.global_id(static_cast<int>(k), rec.slave);
+        }));
   }
 
   // Traces: a shard's event log is in commitment order, not time order, so
-  // the head merge keyed by event time is an interleaving that preserves
-  // each shard's internal order — the same discipline, and equally
-  // deterministic; at K=1 it is the identity.
+  // it cannot be cut into time ranges by binary search and stays a serial
+  // head merge keyed by event time — an interleaving that preserves each
+  // shard's internal order, equally deterministic; at K=1 the identity.
   {
     std::vector<std::size_t> pos(static_cast<std::size_t>(num), 0);
     for (;;) {
@@ -286,6 +397,20 @@ void ShardedEngine::merge() {
 
 Workload ShardedEngine::shard_workload(int k) const {
   return Workload(shard_specs_[static_cast<std::size_t>(k)]);
+}
+
+Schedule ShardedEngine::take_schedule() {
+  Schedule out = std::move(merged_schedule_);
+  merged_schedule_.clear();
+  return out;
+}
+
+void ShardedEngine::validate_shards() const {
+  for_each_shard([this](std::size_t k) {
+    const int kk = static_cast<int>(k);
+    validate_or_throw(partition_.shard_platform(kk), shard_workload(kk),
+                      shard_engine(kk).schedule(), shard_options(kk));
+  });
 }
 
 }  // namespace msol::core

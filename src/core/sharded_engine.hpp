@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -49,14 +50,34 @@ ShardRouting parse_shard_routing(const std::string& text);
 struct ShardedEngineOptions {
   int shards = 1;
   ShardRouting routing = ShardRouting::kHash;
-  /// Threads advancing the shard engines: 1 = sequential (the legacy
-  /// in-thread loop), 0 = hardware concurrency, clamped to `shards`.
+  /// Threads running the per-shard work (route, advance, merge, validate):
+  /// 1 = sequential (the legacy in-thread loop), 0 = hardware concurrency,
+  /// clamped to `shards`.
   /// Merged output is byte-identical at any value — stateless routings run
   /// the shards independently, and least-loaded synchronizes on a barrier
   /// at every release epoch before any shard state is read.
   int shard_threads = 1;
   EngineOptions engine;
 };
+
+/// Interleaves per-shard record lists into one list ordered by send_start,
+/// ties to the lower shard id, then to each shard's own order: exactly the
+/// output of a K-way head merge that repeatedly takes the earliest head
+/// (lowest shard id on ties). Every shard's list must be non-decreasing in
+/// send_start, as a shard schedule in commit order is; the merge checks the
+/// order as it reads each shard and throws std::logic_error otherwise.
+///
+/// The output is pre-sized and split into send_start ranges: cut values are
+/// sampled from the largest shard, each shard is cut at lower_bound of each
+/// value (a record equal to a cut opens the later range, so equal keys never
+/// straddle a range boundary), and each range is filled by its own local
+/// K-way merge — one job per range on `pool` (null or width 1: one range,
+/// inline). `to_global(k, record)` rewrites a copied record of shard k in
+/// place; empty copies records unchanged.
+std::vector<TaskRecord> merge_by_send_start(
+    const std::vector<const std::vector<TaskRecord>*>& shards,
+    util::ThreadPool* pool,
+    const std::function<void(std::size_t, TaskRecord&)>& to_global = {});
 
 /// One fresh scheduler instance per shard: schedulers are stateful (SRPT's
 /// wait bookkeeping, meta-policy detectors), so shards cannot share one.
@@ -71,21 +92,30 @@ using SchedulerFactory = std::function<std::unique_ptr<OnlineScheduler>()>;
 /// single byte-stable global view (ids translated back to global task and
 /// slave numbering).
 ///
-/// Execution is parallel over shards when `shard_threads` > 1 (a
-/// util::ThreadPool advances the K engines; each engine and its scheduler
-/// are only ever touched by the thread that claimed its job, and every
-/// read of shard state happens after the pool's barrier), sequential
-/// otherwise — byte-identical either way, because routing and merging are
-/// functions of per-shard states that do not depend on which thread
-/// advanced them. Stateless routings (hash, round-robin) preload each
-/// shard's slice up front and run shards independently to completion (one
-/// pool batch, no barriers in between); least-loaded advances all shards
-/// in lockstep release epochs (run_until each release instant — one pool
-/// barrier — then route by observed load, inject, repeat), which is
-/// reproducible because the shard states it reads are themselves
-/// deterministic. The least-loaded decision itself is incremental: each
-/// shard's (pending_count, port_free_at) is cached and refreshed only when
-/// the engine's load_stamp() moved, so an epoch costs O(changed shards)
+/// Per-shard work runs on one util::ThreadPool when `shard_threads` > 1,
+/// inline otherwise — byte-identical either way, because each engine and
+/// its scheduler are only ever touched by the thread that claimed its job,
+/// every read of shard state happens after the pool's barrier, and routing
+/// and merging are functions of per-shard states that do not depend on
+/// which thread advanced them. The pool carries:
+///  * route: stateless routings (hash, round-robin) compute every task's
+///    shard index once in load(); then each shard's job fills its own task
+///    and spec lists (pre-sized from a count pass) and injects its slice in
+///    ascending global index;
+///  * advance: stateless routings run every shard to completion in one
+///    batch; least-loaded advances all shards in lockstep release epochs
+///    (run_until each release instant — one pool barrier — then route by
+///    observed load, inject, repeat), which is reproducible because the
+///    shard states it reads are themselves deterministic;
+///  * merge: the schedule merge splits the output into send_start ranges
+///    filled in parallel (merge_by_send_start);
+///  * validate: validate_shards() checks each shard on its own job.
+/// The trace merge stays a serial K-way head merge: a shard's trace is in
+/// commit order, not time order, so it cannot be cut by binary search.
+///
+/// The least-loaded decision itself is incremental: each shard's
+/// (pending_count, port_free_at) is cached and refreshed only when the
+/// engine's load_stamp() moved, so an epoch costs O(changed shards)
 /// virtual probes instead of O(K) per injection — while the comparison
 /// scan keeps the exact shape of the original loop, whose eps-tolerant
 /// port tie-break is not a total order and would drift under any
@@ -117,11 +147,21 @@ class ShardedEngine {
   /// Merged schedule in global task/slave ids, interleaved by record
   /// send_start (ties: lower shard id); valid after run_to_completion.
   const Schedule& schedule() const { return merged_schedule_; }
+  /// Moves the merged schedule out (avoids the copy schedule() implies);
+  /// schedule() is empty afterwards.
+  Schedule take_schedule();
   /// Merged trace in global ids, interleaved by event time (ties: lower
   /// shard id), preserving each shard's internal event order.
   const Trace& trace() const { return merged_trace_; }
   /// Disruption counters summed over shards.
   const DisruptionStats& disruption() const { return merged_disruption_; }
+
+  /// Validates every shard's schedule against its own cluster (shard
+  /// platform, workload slice and options) with validate_or_throw, one pool
+  /// job per shard. Throws the std::logic_error of the lowest failing shard,
+  /// the one a serial loop over shards would throw first. Call after
+  /// run_to_completion and before take_schedule.
+  void validate_shards() const;
 
   int num_shards() const { return static_cast<int>(engines_.size()); }
   const platform::PlatformPartition& partition() const { return partition_; }
@@ -155,11 +195,12 @@ class ShardedEngine {
   /// Stateless routing decision for global task index i; kLeastLoaded is
   /// handled by the epoch loop instead.
   int route_static(std::size_t i) const;
-  /// Injects global task `global` into shard k, recording the id mapping.
+  /// Least-loaded only: injects global task `global` into shard k,
+  /// recording the id mapping.
   void assign_to_shard(int k, TaskId global);
   /// Runs fn(k) once per shard — on the pool (barrier semantics) when
   /// shard_threads resolved above 1, inline otherwise.
-  void for_each_shard(const std::function<void(std::size_t)>& fn);
+  void for_each_shard(const std::function<void(std::size_t)>& fn) const;
   /// Incremental kLeastLoaded decision at release instant t: refresh the
   /// cached load records of shards whose load_stamp() moved, then replay
   /// the original comparison scan over the cache.
@@ -187,7 +228,8 @@ class ShardedEngine {
   std::vector<std::unique_ptr<OnlineScheduler>> schedulers_;
   std::vector<std::unique_ptr<OnePortEngine>> engines_;
 
-  /// Global specs in injection order; kLeastLoaded routes from here.
+  /// kLeastLoaded only: global specs in injection order, routed by the
+  /// epoch loop.
   std::vector<TaskSpec> loaded_;
   bool loaded_any_ = false;
   bool ran_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -146,28 +145,30 @@ std::vector<std::string> validate(const platform::Platform& platform,
 
   // One-port: sweep send intervals; at most port_capacity concurrent.
   if (port_capacity > 0) {
-    // Events: +1 at send_start, -1 at send_end. Sort by time with ends
-    // before starts at equal instants (back-to-back sends are legal).
-    std::vector<std::pair<Time, int>> events;
-    events.reserve(schedule.records().size() * 2);
+    // Starts and ends sorted apart with exact <. At each start s, every end
+    // at or before s + kTimeEps frees its slot first: back-to-back sends are
+    // legal even when float noise puts the end a hair after the next start.
+    std::vector<Time> starts;
+    std::vector<Time> ends;
+    starts.reserve(schedule.records().size());
+    ends.reserve(schedule.records().size());
     for (const TaskRecord& r : schedule.records()) {
-      events.emplace_back(r.send_start, +1);
-      events.emplace_back(r.send_end, -1);
+      starts.push_back(r.send_start);
+      ends.push_back(r.send_end);
     }
-    std::sort(events.begin(), events.end(),
-              [](const auto& a, const auto& b) {
-                if (std::abs(a.first - b.first) > kTimeEps) {
-                  return a.first < b.first;
-                }
-                return a.second < b.second;  // -1 before +1
-              });
+    std::sort(starts.begin(), starts.end());
+    std::sort(ends.begin(), ends.end());
     int in_flight = 0;
-    for (const auto& [t, delta] : events) {
-      in_flight += delta;
-      if (in_flight > port_capacity) {
+    std::size_t freed = 0;
+    for (const Time s : starts) {
+      while (freed < ends.size() && ends[freed] <= s + kTimeEps) {
+        --in_flight;
+        ++freed;
+      }
+      if (++in_flight > port_capacity) {
         std::ostringstream msg;
         msg << "one-port violation: " << in_flight
-            << " sends in flight at t=" << t << " (capacity "
+            << " sends in flight at t=" << s << " (capacity "
             << port_capacity << ")";
         out.push_back(msg.str());
         break;
@@ -175,19 +176,32 @@ std::vector<std::string> validate(const platform::Platform& platform,
     }
   }
 
-  // Per-slave serial execution.
-  std::map<SlaveId, std::vector<std::pair<Time, Time>>> per_slave;
+  // Per-slave serial execution: bucket the compute intervals by slave into
+  // one flat array (counting sort; bucket j is [offset[j], offset[j + 1])),
+  // then sort and sweep each bucket in ascending slave order.
+  const std::size_t m = static_cast<std::size_t>(platform.size());
+  std::vector<std::size_t> offset(m + 1, 0);
   for (const TaskRecord& r : schedule.records()) {
     if (r.slave >= 0 && r.slave < platform.size()) {
-      per_slave[r.slave].emplace_back(r.comp_start, r.comp_end);
+      ++offset[static_cast<std::size_t>(r.slave) + 1];
     }
   }
-  for (auto& [slave, intervals] : per_slave) {
-    std::sort(intervals.begin(), intervals.end());
-    for (std::size_t i = 1; i < intervals.size(); ++i) {
+  for (std::size_t j = 0; j < m; ++j) offset[j + 1] += offset[j];
+  std::vector<std::pair<Time, Time>> intervals(offset[m]);
+  std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
+  for (const TaskRecord& r : schedule.records()) {
+    if (r.slave >= 0 && r.slave < platform.size()) {
+      intervals[cursor[static_cast<std::size_t>(r.slave)]++] = {r.comp_start,
+                                                                r.comp_end};
+    }
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    std::sort(intervals.begin() + static_cast<std::ptrdiff_t>(offset[j]),
+              intervals.begin() + static_cast<std::ptrdiff_t>(offset[j + 1]));
+    for (std::size_t i = offset[j] + 1; i < offset[j + 1]; ++i) {
       if (intervals[i].first < intervals[i - 1].second - kTimeEps) {
         std::ostringstream msg;
-        msg << "slave " << slave << " computes two tasks at once around t="
+        msg << "slave " << j << " computes two tasks at once around t="
             << intervals[i].first;
         out.push_back(msg.str());
         break;

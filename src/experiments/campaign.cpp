@@ -185,7 +185,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       } else {
         // Sharded fleet: K one-port clusters, one scheduler instance each.
         // Every shard's schedule is validated against its own cluster's
-        // one-port model; the merged global schedule feeds the metrics.
+        // one-port model (on the shard pool); the merged global schedule
+        // feeds the metrics.
         core::ShardedEngineOptions sharded_options;
         sharded_options.shards = config.engine_shards;
         sharded_options.routing = core::parse_shard_routing(
@@ -198,11 +199,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
             std::move(sharded_options));
         sharded.load(workload);
         sharded.run_to_completion();
+        sharded.validate_shards();
         for (int k = 0; k < sharded.num_shards(); ++k) {
-          core::validate_or_throw(sharded.partition().shard_platform(k),
-                                  sharded.shard_workload(k),
-                                  sharded.shard_engine(k).schedule(),
-                                  sharded.shard_options(k));
           const auto* meta =
               dynamic_cast<const algorithms::meta::MetaPolicy*>(
                   &sharded.shard_scheduler(k));
@@ -210,7 +208,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
             switches += static_cast<double>(meta->switches());
           }
         }
-        schedule = sharded.schedule();
+        schedule = sharded.take_schedule();
         disruption = sharded.disruption();
       }
       schedules.emplace(name, std::move(schedule));

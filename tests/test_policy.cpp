@@ -257,7 +257,7 @@ TEST(ComposedPolicy, ResetRestoresEveryStatefulComponent) {
   const Workload work = Workload::poisson(25, 2.0, rng);
   // Stateful on every axis: cyclic cursor, wrr credits, plan cursor, rng
   // tie stream, quota counts, pace clock.
-  for (const std::string& spec :
+  for (const char* spec :
        {"RR", "WRR", "SLJF+lookahead:8", "RLS", "RANDOM",
         "filter:quota+rank:completion", "LS+gate:pace:0.2"}) {
     const auto policy = make_scheduler(spec, 8);
@@ -320,14 +320,14 @@ TEST(ComposedPolicy, ThrottleComposesWithAnyRanker) {
   const Platform plat = platform::PlatformGenerator().generate(
       PlatformClass::kFullyHeterogeneous, 3, rng);
   const Workload work = Workload::all_at_zero(18);
-  for (const std::string& spec :
+  for (const char* spec :
        {"SRPT+throttle:2", "rank:ready+throttle:1", "RR+filter:throttle:2"}) {
     const auto policy = make_scheduler(spec);
     const Schedule s = core::simulate(plat, work, *policy);
     core::validate_or_throw(plat, work, s);
     // Throttle invariant: never more than k tasks of one slave in the
     // system at any send instant.
-    const int cap = spec.find(":1") != std::string::npos ? 1 : 2;
+    const int cap = std::string(spec).find(":1") != std::string::npos ? 1 : 2;
     for (const core::TaskRecord& r : s.records()) {
       int concurrent = 0;
       for (const core::TaskRecord& other : s.records()) {

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -18,7 +20,6 @@
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
 #include "core/sharded_engine.hpp"
-#include "core/validator.hpp"
 #include "experiments/campaign.hpp"
 #include "platform/availability_stream.hpp"
 #include "platform/generator.hpp"
@@ -27,6 +28,7 @@
 #include "runner/result_sink.hpp"
 #include "runner/scenario.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace msol::core {
 namespace {
@@ -259,12 +261,9 @@ std::string render_merged(const Scenario& s, const char* policy, int shards,
   engine.load(s.workload);
   engine.run_to_completion();
 
-  // Every shard's schedule must independently satisfy the one-port model.
-  for (int k = 0; k < engine.num_shards(); ++k) {
-    validate_or_throw(engine.partition().shard_platform(k),
-                      engine.shard_workload(k), engine.shard_engine(k).schedule(),
-                      engine.shard_options(k));
-  }
+  // Every shard's schedule must independently satisfy the one-port model
+  // (checked on the engine's own pool when shard_threads > 1).
+  engine.validate_shards();
 
   return render(engine.schedule(), engine.trace(), engine.disruption());
 }
@@ -288,11 +287,12 @@ TEST(ShardedEngine, MergedOutputIsReproducibleForEveryRouting) {
 
 TEST(ShardedEngine, ParallelAdvancementIsByteIdenticalToSequential) {
   // The tentpole guarantee: shard_threads is purely a wall-clock knob.
-  // K x threads matrix over both a stateless routing and the
+  // K x threads matrix over both stateless routings and the
   // state-dependent one, on a churn-availability fleet.
   for (const int shards : {1, 2, 8}) {
     for (const ShardRouting routing :
-         {ShardRouting::kHash, ShardRouting::kLeastLoaded}) {
+         {ShardRouting::kHash, ShardRouting::kRoundRobin,
+          ShardRouting::kLeastLoaded}) {
       const Scenario s = make_fleet_scenario(4242, /*with_availability=*/true);
       const std::string sequential =
           render_merged(s, "LS", shards, routing, /*shard_threads=*/1);
@@ -306,6 +306,146 @@ TEST(ShardedEngine, ParallelAdvancementIsByteIdenticalToSequential) {
       EXPECT_EQ(render_merged(s, "LS", shards, routing, /*shard_threads=*/0),
                 sequential)
           << "K=" << shards << " routing " << to_string(routing) << " auto";
+    }
+  }
+}
+
+// ------------------------------------------------------ send_start merge --
+
+/// The original serial K-way head merge, kept here as the oracle for
+/// merge_by_send_start: rescan every shard's head per record, take the
+/// earliest (strict <, so ties go to the lower shard id), remap it, append.
+std::vector<TaskRecord> head_merge(
+    const std::vector<std::vector<TaskRecord>>& shards,
+    const std::function<void(std::size_t, TaskRecord&)>& to_global) {
+  std::vector<TaskRecord> out;
+  std::vector<std::size_t> pos(shards.size(), 0);
+  for (;;) {
+    int best = -1;
+    for (std::size_t k = 0; k < shards.size(); ++k) {
+      if (pos[k] >= shards[k].size()) continue;
+      const std::size_t b = static_cast<std::size_t>(best);
+      if (best < 0 ||
+          shards[k][pos[k]].send_start < shards[b][pos[b]].send_start) {
+        best = static_cast<int>(k);
+      }
+    }
+    if (best < 0) break;
+    const std::size_t b = static_cast<std::size_t>(best);
+    TaskRecord rec = shards[b][pos[b]++];
+    to_global(b, rec);
+    out.push_back(rec);
+  }
+  return out;
+}
+
+/// K synthetic shard schedules, each non-decreasing in send_start. `mode`:
+/// 0 = continuous times, 1 = times on a 6-point grid (heavy exact ties
+/// across shards), 2 = every time equal. Every third shard is empty when
+/// `with_empty`. Each record's task id is unique, so order differences
+/// within ties show.
+std::vector<std::vector<TaskRecord>> synthetic_shards(int num, int mode,
+                                                      bool with_empty,
+                                                      util::Rng& rng) {
+  std::vector<std::vector<TaskRecord>> shards(static_cast<std::size_t>(num));
+  for (int k = 0; k < num; ++k) {
+    if (with_empty && k % 3 == 1) continue;
+    const int n = static_cast<int>(rng.uniform_int(0, 300));
+    std::vector<Time> times;
+    for (int i = 0; i < n; ++i) {
+      times.push_back(mode == 0   ? rng.uniform(0.0, 100.0)
+                      : mode == 1 ? static_cast<Time>(rng.uniform_int(0, 5))
+                                  : 7.0);
+    }
+    std::sort(times.begin(), times.end());
+    for (int i = 0; i < n; ++i) {
+      const Time t = times[static_cast<std::size_t>(i)];
+      shards[static_cast<std::size_t>(k)].push_back(
+          TaskRecord{k * 1000 + i, i % 7, t, t, t + 1.0, t + 1.0, t + 2.0});
+    }
+  }
+  return shards;
+}
+
+std::vector<const std::vector<TaskRecord>*> views(
+    const std::vector<std::vector<TaskRecord>>& shards) {
+  std::vector<const std::vector<TaskRecord>*> out;
+  for (const auto& s : shards) out.push_back(&s);
+  return out;
+}
+
+bool same_records(const std::vector<TaskRecord>& a,
+                  const std::vector<TaskRecord>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const TaskRecord& x, const TaskRecord& y) {
+                      return x.task == y.task && x.slave == y.slave &&
+                             x.release == y.release &&
+                             x.send_start == y.send_start &&
+                             x.send_end == y.send_end &&
+                             x.comp_start == y.comp_start &&
+                             x.comp_end == y.comp_end;
+                    });
+}
+
+TEST(MergeBySendStart, MatchesSerialHeadMergeOnSyntheticShards) {
+  const auto to_global = [](std::size_t k, TaskRecord& rec) {
+    rec.slave = rec.slave * 100 + static_cast<SlaveId>(k);
+  };
+  util::Rng rng(2024);
+  for (const int threads : {1, 2, 4}) {
+    util::ThreadPool pool(threads);
+    for (const int num : {1, 2, 3, 4, 16}) {
+      for (const int mode : {0, 1, 2}) {
+        for (const bool with_empty : {false, true}) {
+          for (int rep = 0; rep < 4; ++rep) {
+            const auto shards = synthetic_shards(num, mode, with_empty, rng);
+            const std::string label =
+                "threads " + std::to_string(threads) + " K=" +
+                std::to_string(num) + " mode " + std::to_string(mode) +
+                (with_empty ? " with empty shards" : "") + " rep " +
+                std::to_string(rep);
+            EXPECT_TRUE(same_records(
+                merge_by_send_start(views(shards), &pool, to_global),
+                head_merge(shards, to_global)))
+                << label;
+          }
+        }
+      }
+    }
+    // Every shard empty, and no shard at all.
+    const std::vector<std::vector<TaskRecord>> empty(3);
+    EXPECT_TRUE(merge_by_send_start(views(empty), &pool).empty());
+    EXPECT_TRUE(merge_by_send_start({}, &pool).empty());
+  }
+}
+
+TEST(MergeBySendStart, ThrowsOnAShardOutOfSendStartOrder) {
+  // One out-of-order pair anywhere in a shard — a swapped neighbour pair or
+  // a single spike — must throw, wherever the range cuts fall around it.
+  util::Rng rng(77);
+  const auto ordered = [](int n) {
+    std::vector<TaskRecord> recs;
+    for (int i = 0; i < n; ++i) {
+      const Time t = static_cast<Time>(i);
+      recs.push_back(TaskRecord{i, 0, t, t, t + 1.0, t + 1.0, t + 2.0});
+    }
+    return recs;
+  };
+  for (const int threads : {1, 2, 4}) {
+    util::ThreadPool pool(threads);
+    for (std::size_t at = 0; at + 1 < 64; ++at) {
+      auto shards = synthetic_shards(3, 0, false, rng);
+      shards[1] = ordered(64);
+      std::swap(shards[1][at], shards[1][at + 1]);
+      EXPECT_THROW(merge_by_send_start(views(shards), &pool),
+                   std::logic_error)
+          << "threads " << threads << " swap at " << at;
+      shards[1] = ordered(64);
+      shards[1][at].send_start = 1e6;
+      EXPECT_THROW(merge_by_send_start(views(shards), &pool),
+                   std::logic_error)
+          << "threads " << threads << " spike at " << at;
     }
   }
 }
