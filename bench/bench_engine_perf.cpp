@@ -215,12 +215,6 @@ struct PlannerTimed {
   bool identical = true;
 };
 
-double quantile(std::vector<double> v, double q) {
-  std::sort(v.begin(), v.end());
-  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
-                                    0.5)];
-}
-
 /// One SLJF or SLJFWC plan of `n` tasks released together (what the
 /// on-line wrapper plans at its first decision) on a `cls` platform of `m`
 /// slaves. Production and reference runs alternate so host drift hits both
@@ -250,10 +244,10 @@ PlannerTimed ms_per_plan(bool comm_aware, platform::PlatformClass cls, int m,
     out.identical = out.identical && got.assignment == want.assignment &&
                     got.makespan == want.makespan;
   }
-  out.ms = quantile(ms, 0.5);
-  out.ms_p10 = quantile(ms, 0.1);
-  out.ms_p90 = quantile(ms, 0.9);
-  out.reference_ms = quantile(reference_ms, 0.5);
+  out.ms = bench::quantile(ms, 0.5);
+  out.ms_p10 = bench::quantile(ms, 0.1);
+  out.ms_p90 = bench::quantile(ms, 0.9);
+  out.reference_ms = bench::quantile(reference_ms, 0.5);
   return out;
 }
 

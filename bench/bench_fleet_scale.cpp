@@ -1,19 +1,27 @@
-// Fleet-scale engine throughput: the SoA ranking kernel vs the retained
-// scalar-probe baseline, at platform sizes the micro-bench never reaches
-// (up to 4096 slaves x 100k tasks). Every row runs the IDENTICAL
-// (platform, workload, policy) through two engine configurations, which
-// differ only in how placement probes are evaluated:
+// Fleet-scale engine throughput: the SoA ranking kernel vs the scalar-probe
+// baseline, at platform sizes the micro-bench never reaches (up to 4096
+// slaves x 100k tasks). Every row runs the IDENTICAL (platform, workload,
+// policy) on the default engine in two ways, which differ only in how
+// placement probes are evaluated:
 //
-//   scalar   EngineOptions{scalar_probes=true} — the pre-kernel hot path:
-//            per-slave virtual probe loops.
-//   kernel   EngineOptions{} — the default: batched branch-free ranking
-//            kernel over the SoA slave state.
+//   scalar   the policy wrapped in ScalarProbeScheduler
+//            (tests/support/scalar_probe_view.hpp): it sees the engine
+//            through a forwarding view without slave_state(), so every
+//            probe is a per-slave virtual loop. The forwarding adds one
+//            call per probe, so this column reads lower than the removed
+//            in-engine scalar option did; it is a baseline, not the
+//            pre-kernel engine.
+//   kernel   the policy as is: batched ranking kernels over the engine's
+//            SoA slave state.
 //
-// Output is events (scheduled tasks) per second, the speedup ratio, setup
-// time (platform + workload generation, EXCLUDED from the timed region) and
-// the process peak RSS after the row (getrusage ru_maxrss — monotone across
-// rows, so rows run smallest-first and the last row's value is the run's
-// peak).
+// Every timed column is the median of kReps runs, with p10/p90 written
+// next to it; the scalar and kernel runs (and the sharded row's four
+// configurations) alternate rep by rep so host drift hits every column
+// alike. Output is events (scheduled tasks) per second, the speedup ratio
+// of the medians, setup time (platform + workload generation, EXCLUDED
+// from the timed region) and the process peak RSS after the row (getrusage
+// ru_maxrss — monotone across rows, so rows run smallest-first and the last
+// row's value is the run's peak).
 //
 // Each row also micro-benches the ranking kernel at the row's slave count:
 // branch-free scalar completion_batch vs the explicitly vectorized
@@ -39,9 +47,9 @@
 // Modes: the shared perf-bench command line (bench/perf_common.hpp), with
 // BENCH_fleet.json as the --json artifact.
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,6 +60,7 @@
 #include "experiments/campaign.hpp"
 #include "platform/generator.hpp"
 #include "perf_common.hpp"
+#include "support/scalar_probe_view.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -62,17 +71,20 @@ using bench::fmt;
 // Keeps simulate() results observable without google-benchmark.
 volatile double g_sink = 0.0;
 
+/// Runs per timed column, full and small scale alike: enough for a median
+/// and a p10/p90 spread.
+constexpr int kReps = 5;
+
 struct Row {
   const char* policy;
   int slaves;
   int tasks;
-  int reps;  // best-of-reps on both configurations
 };
 
 struct RowResult {
   Row row;
-  double scalar_eps = 0.0;  // events/sec, scalar-probe baseline
-  double kernel_eps = 0.0;  // events/sec, ranking-kernel default
+  bench::Spread scalar_eps;  // events/sec, scalar-probe baseline
+  bench::Spread kernel_eps;  // events/sec, ranking kernels
   double kernel_scalar_mps = 0.0;  // completion_batch, million probes/sec
   double kernel_simd_mps = 0.0;    // completion_batch_simd, same input
   double argmin_scalar_mps = 0.0;  // rank_best_completion, scalar body
@@ -80,7 +92,8 @@ struct RowResult {
   double setup_sec = 0.0;     // platform + workload generation
   long rss_peak_kb = 0;       // process peak RSS after this row
   double speedup() const {
-    return scalar_eps > 0.0 ? kernel_eps / scalar_eps : 0.0;
+    return scalar_eps.median > 0.0 ? kernel_eps.median / scalar_eps.median
+                                   : 0.0;
   }
   double kernel_speedup() const {
     return kernel_scalar_mps > 0.0 ? kernel_simd_mps / kernel_scalar_mps : 0.0;
@@ -97,41 +110,44 @@ struct ShardedRow {
   int slaves;
   int tasks;
   int shards;
-  int reps;
 };
 
 struct ShardedResult {
   ShardedRow row;
-  double k1_eps = 0.0;       // events/sec, ShardedEngine with K=1
-  double sharded_eps = 0.0;  // events/sec, K=row.shards, shard_threads=1
-  double sharded_t2_eps = 0.0;  // same run, shard_threads=2
-  double sharded_t4_eps = 0.0;  // same run, shard_threads=4
-  double validate_ms_t1 = 0.0;  // validate_shards(), shard_threads=1
-  double validate_ms_t4 = 0.0;  // validate_shards(), shard_threads=4
+  bench::Spread k1_eps;          // events/sec, ShardedEngine with K=1
+  bench::Spread sharded_eps;     // events/sec, K=row.shards, shard_threads=1
+  bench::Spread sharded_t2_eps;  // same run, shard_threads=2
+  bench::Spread sharded_t4_eps;  // same run, shard_threads=4
+  bench::Spread validate_ms_t1;  // validate_shards(), shard_threads=1
+  bench::Spread validate_ms_t4;  // validate_shards(), shard_threads=4
   long rss_peak_kb = 0;      // process peak RSS after this shard count
-  double speedup() const { return k1_eps > 0.0 ? sharded_eps / k1_eps : 0.0; }
+  double speedup() const {
+    return k1_eps.median > 0.0 ? sharded_eps.median / k1_eps.median : 0.0;
+  }
   double thread_speedup() const {
-    return sharded_eps > 0.0 ? sharded_t4_eps / sharded_eps : 0.0;
+    return sharded_eps.median > 0.0
+               ? sharded_t4_eps.median / sharded_eps.median
+               : 0.0;
   }
 };
 
-/// Best-of-reps throughput of one engine configuration. The scheduler is
-/// constructed inside (stateful policies must start fresh per rep) but the
-/// timed region covers only simulate().
-double best_events_per_sec(const platform::Platform& plat,
-                           const core::Workload& work, const char* policy,
-                           core::EngineOptions options, int reps) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto scheduler = algorithms::make_scheduler(policy);
-    const auto start = std::chrono::steady_clock::now();
-    g_sink = core::simulate(plat, work, *scheduler, options).makespan();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (elapsed.count() > 0.0)
-      best = std::max(best, work.size() / elapsed.count());
+/// Throughput of one simulate() run. The scheduler is constructed inside
+/// (stateful policies must start fresh per rep) but the timed region
+/// covers only simulate(); `scalar` wraps it in ScalarProbeScheduler.
+double events_per_sec(const platform::Platform& plat,
+                      const core::Workload& work, const char* policy,
+                      bool scalar) {
+  std::unique_ptr<core::OnlineScheduler> scheduler =
+      algorithms::make_scheduler(policy);
+  if (scalar) {
+    scheduler =
+        std::make_unique<core::ScalarProbeScheduler>(std::move(scheduler));
   }
-  return best;
+  const auto start = std::chrono::steady_clock::now();
+  g_sink = core::simulate(plat, work, *scheduler).makespan();
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count() > 0.0 ? work.size() / elapsed.count() : 0.0;
 }
 
 /// Which kernel entry point kernel_probes_mps times.
@@ -202,12 +218,13 @@ RowResult run_row(const Row& row) {
                       std::chrono::steady_clock::now() - setup_start)
                       .count();
 
-  core::EngineOptions scalar;
-  scalar.scalar_probes = true;
-  out.scalar_eps =
-      best_events_per_sec(plat, work, row.policy, scalar, row.reps);
-  out.kernel_eps = best_events_per_sec(plat, work, row.policy,
-                                       core::EngineOptions{}, row.reps);
+  std::vector<double> scalar, kernel;
+  for (int r = 0; r < kReps; ++r) {
+    scalar.push_back(events_per_sec(plat, work, row.policy, true));
+    kernel.push_back(events_per_sec(plat, work, row.policy, false));
+  }
+  out.scalar_eps = bench::spread_of(scalar);
+  out.kernel_eps = bench::spread_of(kernel);
 
   out.kernel_scalar_mps = kernel_probes_mps(row.slaves, Kernel::kBatchScalar);
   out.kernel_simd_mps = kernel_probes_mps(row.slaves, Kernel::kBatchSimd);
@@ -219,39 +236,33 @@ RowResult run_row(const Row& row) {
   return out;
 }
 
-/// Best-of-reps throughput of a ShardedEngine run (construction + load +
-/// run inside the timed region, matching best_events_per_sec which times
-/// simulate() — itself engine construction + run).
-double best_sharded_events_per_sec(const platform::Platform& plat,
-                                   const core::Workload& work,
-                                   const char* policy, int shards,
-                                   int shard_threads, int reps) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    core::ShardedEngineOptions options;
-    options.shards = shards;  // routing: default hash
-    options.shard_threads = shard_threads;
-    const auto start = std::chrono::steady_clock::now();
-    core::ShardedEngine engine(
-        plat, [&] { return algorithms::make_scheduler(policy); },
-        std::move(options));
-    engine.load(work);
-    engine.run_to_completion();
-    g_sink = engine.schedule().makespan();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (elapsed.count() > 0.0)
-      best = std::max(best, work.size() / elapsed.count());
-  }
-  return best;
+/// Throughput of one ShardedEngine run (construction + load + run inside
+/// the timed region, matching events_per_sec which times simulate() —
+/// itself engine construction + run).
+double sharded_events_per_sec(const platform::Platform& plat,
+                              const core::Workload& work, const char* policy,
+                              int shards, int shard_threads) {
+  core::ShardedEngineOptions options;
+  options.shards = shards;  // routing: default hash
+  options.shard_threads = shard_threads;
+  const auto start = std::chrono::steady_clock::now();
+  core::ShardedEngine engine(
+      plat, [&] { return algorithms::make_scheduler(policy); },
+      std::move(options));
+  engine.load(work);
+  engine.run_to_completion();
+  g_sink = engine.schedule().makespan();
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count() > 0.0 ? work.size() / elapsed.count() : 0.0;
 }
 
-/// Best-of-reps wall time (ms) of validate_shards() after one hash-routed
-/// run (untimed): at shard_threads 1 that is the serial loop over shards,
-/// above it one pool job per shard.
-double best_validate_ms(const platform::Platform& plat,
-                        const core::Workload& work, const char* policy,
-                        int shards, int shard_threads, int reps) {
+/// Wall time (ms) of validate_shards() over kReps calls after one
+/// hash-routed run (untimed): at shard_threads 1 that is the serial loop
+/// over shards, above it one pool job per shard.
+bench::Spread validate_ms(const platform::Platform& plat,
+                          const core::Workload& work, const char* policy,
+                          int shards, int shard_threads) {
   core::ShardedEngineOptions options;
   options.shards = shards;
   options.shard_threads = shard_threads;
@@ -260,15 +271,15 @@ double best_validate_ms(const platform::Platform& plat,
       std::move(options));
   engine.load(work);
   engine.run_to_completion();
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
+  std::vector<double> ms;
+  for (int r = 0; r < kReps; ++r) {
     const auto start = std::chrono::steady_clock::now();
     engine.validate_shards();
     const std::chrono::duration<double, std::milli> elapsed =
         std::chrono::steady_clock::now() - start;
-    if (r == 0 || elapsed.count() < best) best = elapsed.count();
+    ms.push_back(elapsed.count());
   }
-  return best;
+  return bench::spread_of(ms);
 }
 
 ShardedResult run_sharded_row(const ShardedRow& row) {
@@ -281,19 +292,22 @@ ShardedResult run_sharded_row(const ShardedRow& row) {
   const double rate = 0.9 * experiments::max_throughput(plat);
   const core::Workload work = core::Workload::poisson(row.tasks, rate, wrng);
 
-  out.k1_eps =
-      best_sharded_events_per_sec(plat, work, row.policy, 1, 1, row.reps);
-  out.sharded_eps = best_sharded_events_per_sec(plat, work, row.policy,
-                                                row.shards, 1, row.reps);
-  out.sharded_t2_eps = best_sharded_events_per_sec(plat, work, row.policy,
-                                                   row.shards, 2, row.reps);
-  out.sharded_t4_eps = best_sharded_events_per_sec(plat, work, row.policy,
-                                                   row.shards, 4, row.reps);
-  // Validation is cheap next to a run: best of three at every scale.
-  out.validate_ms_t1 =
-      best_validate_ms(plat, work, row.policy, row.shards, 1, 3);
-  out.validate_ms_t4 =
-      best_validate_ms(plat, work, row.policy, row.shards, 4, 3);
+  std::vector<double> k1, t1, t2, t4;
+  for (int r = 0; r < kReps; ++r) {
+    k1.push_back(sharded_events_per_sec(plat, work, row.policy, 1, 1));
+    t1.push_back(
+        sharded_events_per_sec(plat, work, row.policy, row.shards, 1));
+    t2.push_back(
+        sharded_events_per_sec(plat, work, row.policy, row.shards, 2));
+    t4.push_back(
+        sharded_events_per_sec(plat, work, row.policy, row.shards, 4));
+  }
+  out.k1_eps = bench::spread_of(k1);
+  out.sharded_eps = bench::spread_of(t1);
+  out.sharded_t2_eps = bench::spread_of(t2);
+  out.sharded_t4_eps = bench::spread_of(t4);
+  out.validate_ms_t1 = validate_ms(plat, work, row.policy, row.shards, 1);
+  out.validate_ms_t4 = validate_ms(plat, work, row.policy, row.shards, 4);
   out.rss_peak_kb = bench::peak_rss_kb();
   return out;
 }
@@ -302,26 +316,37 @@ std::vector<Row> rows_for_scale(bool small) {
   if (small) {
     // CI smoke: exercises both configurations and the JSON schema in a few
     // seconds; speedups at this size are not the acceptance numbers.
-    return {{"LS", 64, 5000, 2}, {"RR", 128, 8000, 2}, {"LS", 128, 8000, 2}};
+    return {{"LS", 64, 5000}, {"RR", 128, 8000}, {"LS", 128, 8000}};
   }
-  return {{"LS", 256, 20000, 2},
-          {"RR", 1024, 50000, 2},
-          {"LS", 1024, 50000, 2},
-          {"RR", 4096, 100000, 1},
-          {"LS", 4096, 100000, 1}};
+  return {{"LS", 256, 20000},
+          {"RR", 1024, 50000},
+          {"LS", 1024, 50000},
+          {"RR", 4096, 100000},
+          {"LS", 4096, 100000}};
 }
 
 std::vector<ShardedRow> sharded_rows_for_scale(bool small) {
   if (small) {
     // CI smoke: exercises the sharded path and its JSON keys in seconds.
-    return {{"LS", 256, 8000, 4, 2}};
+    return {{"LS", 256, 8000, 4}};
   }
   // 16384 slaves is past where the single engine's O(m) per-decision cost
   // dominates; rows ascend in shard count so rss_peak_kb stays the
   // monotone per-shard-count peak.
-  return {{"LS", 16384, 60000, 4, 1},
-          {"LS", 16384, 60000, 16, 1},
-          {"RR", 16384, 60000, 16, 1}};
+  return {{"LS", 16384, 60000, 4},
+          {"LS", 16384, 60000, 16},
+          {"RR", 16384, 60000, 16}};
+}
+
+/// "median [p10, p90]" for the stdout table.
+std::ostream& operator<<(std::ostream& os, const bench::Spread& s) {
+  return os << s.median << " [" << s.p10 << ", " << s.p90 << "]";
+}
+
+/// `"key":median,"key_p10":p10,"key_p90":p90` for one timed column.
+std::string spread_json(const std::string& key, const bench::Spread& s) {
+  return ",\"" + key + "\":" + fmt(s.median) + ",\"" + key +
+         "_p10\":" + fmt(s.p10) + ",\"" + key + "_p90\":" + fmt(s.p90);
 }
 
 std::string to_json(const std::vector<RowResult>& results,
@@ -333,6 +358,7 @@ std::string to_json(const std::vector<RowResult>& results,
   json += ",\"avx512_available\":";
   json += core::rank_kernel_avx512_available() ? "true" : "false";
   json += ",\"host_threads\":" + std::to_string(bench::host_threads());
+  json += ",\"reps\":" + std::to_string(kReps);
   json += ",\"cases\":[";
   bool first = true;
   for (const RowResult& r : results) {
@@ -341,8 +367,8 @@ std::string to_json(const std::vector<RowResult>& results,
     json += "{\"policy\":\"" + std::string(r.row.policy) + "\"";
     json += ",\"slaves\":" + std::to_string(r.row.slaves);
     json += ",\"tasks\":" + std::to_string(r.row.tasks);
-    json += ",\"events_per_sec_scalar\":" + fmt(r.scalar_eps);
-    json += ",\"events_per_sec_kernel\":" + fmt(r.kernel_eps);
+    json += spread_json("events_per_sec_scalar", r.scalar_eps);
+    json += spread_json("events_per_sec_kernel", r.kernel_eps);
     json += ",\"speedup\":" + fmt(r.speedup());
     json += ",\"kernel_scalar_mprobes\":" + fmt(r.kernel_scalar_mps);
     json += ",\"kernel_simd_mprobes\":" + fmt(r.kernel_simd_mps);
@@ -363,14 +389,14 @@ std::string to_json(const std::vector<RowResult>& results,
     json += ",\"tasks\":" + std::to_string(r.row.tasks);
     json += ",\"shards\":" + std::to_string(r.row.shards);
     json += ",\"routing\":\"hash\"";
-    json += ",\"events_per_sec_k1\":" + fmt(r.k1_eps);
-    json += ",\"events_per_sec_sharded\":" + fmt(r.sharded_eps);
-    json += ",\"events_per_sec_sharded_t2\":" + fmt(r.sharded_t2_eps);
-    json += ",\"events_per_sec_sharded_t4\":" + fmt(r.sharded_t4_eps);
+    json += spread_json("events_per_sec_k1", r.k1_eps);
+    json += spread_json("events_per_sec_sharded", r.sharded_eps);
+    json += spread_json("events_per_sec_sharded_t2", r.sharded_t2_eps);
+    json += spread_json("events_per_sec_sharded_t4", r.sharded_t4_eps);
     json += ",\"sharded_speedup\":" + fmt(r.speedup());
     json += ",\"shard_threads_speedup\":" + fmt(r.thread_speedup());
-    json += ",\"validate_ms_t1\":" + fmt(r.validate_ms_t1);
-    json += ",\"validate_ms_t4\":" + fmt(r.validate_ms_t4);
+    json += spread_json("validate_ms_t1", r.validate_ms_t1);
+    json += spread_json("validate_ms_t4", r.validate_ms_t4);
     json += ",\"rss_peak_kb\":" + std::to_string(r.rss_peak_kb) + "}";
   }
   json += "]}";
@@ -397,6 +423,17 @@ const char* const kSchemaKeys[] = {
     "\"host_threads\":",           "\"argmin_scalar_mprobes\":",
     "\"argmin_simd_mprobes\":",    "\"argmin_simd_speedup\":",
     "\"validate_ms_t1\":",         "\"validate_ms_t4\":",
+    "\"reps\":",
+    "\"events_per_sec_scalar_p10\":", "\"events_per_sec_scalar_p90\":",
+    "\"events_per_sec_kernel_p10\":", "\"events_per_sec_kernel_p90\":",
+    "\"events_per_sec_k1_p10\":",     "\"events_per_sec_k1_p90\":",
+    "\"events_per_sec_sharded_p10\":", "\"events_per_sec_sharded_p90\":",
+    "\"events_per_sec_sharded_t2_p10\":",
+    "\"events_per_sec_sharded_t2_p90\":",
+    "\"events_per_sec_sharded_t4_p10\":",
+    "\"events_per_sec_sharded_t4_p90\":",
+    "\"validate_ms_t1_p10\":",        "\"validate_ms_t1_p90\":",
+    "\"validate_ms_t4_p10\":",        "\"validate_ms_t4_p90\":",
 };
 
 }  // namespace

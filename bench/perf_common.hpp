@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/rank_kernel.hpp"
 
@@ -35,6 +36,25 @@ inline std::string fmt(double v) {
   std::ostringstream os;
   os << v;
   return os.str();
+}
+
+/// Nearest-rank q-quantile of `v` (taken by value: sorted in place).
+inline double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
+                                    0.5)];
+}
+
+/// Median and p10/p90 of one timed column's repetitions: the value a
+/// BENCH_*.json column reports and the spread that says whether two
+/// columns can be told apart on this host.
+struct Spread {
+  double median = 0.0, p10 = 0.0, p90 = 0.0;
+};
+
+inline Spread spread_of(const std::vector<double>& samples) {
+  return {quantile(samples, 0.5), quantile(samples, 0.1),
+          quantile(samples, 0.9)};
 }
 
 /// The widest rank-kernel SIMD path this host dispatches to.

@@ -114,11 +114,7 @@ class IncrementalProjection : public core::EngineView {
   std::optional<core::SlaveId> assignment_of(core::TaskId task) const override;
   core::Time completion_if_assigned(core::TaskId task,
                                     core::SlaveId j) const override;
-  void completion_if_assigned_batch(core::TaskId task,
-                                    const core::SlaveId* slaves, int n,
-                                    core::Time* out) const override;
   core::SlaveStateView slave_state() const override;
-  core::SlaveId best_completion_slave(core::TaskId task) const override;
   const core::Schedule& schedule() const override { return schedule_; }
   const core::Trace& trace() const override { return trace_; }
 

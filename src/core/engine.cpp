@@ -718,8 +718,48 @@ Time OnePortEngine::completion_if_assigned(TaskId task, SlaveId j) const {
   return comp_start + compute;
 }
 
+// EngineView's batch probes. Out of line on purpose: inlined into every
+// policy call site they cost about 4% CPU on perfbench's meta_churn grids.
+void EngineView::completion_if_assigned_batch(TaskId task,
+                                            const SlaveId* slaves, int n,
+                                            Time* out) const {
+  const SlaveStateView s = slave_state();
+  if (s.empty()) {
+    for (int i = 0; i < n; ++i) {
+      out[i] = completion_if_assigned(task, slaves[i]);
+    }
+    return;
+  }
+  const TaskSpec& spec = task_spec(task);
+  const Time t = now();
+  const Time send_start = std::max({t, port_free_at(), spec.release});
+  completion_gather_simd(s, t, send_start, spec.comm_factor,
+                         spec.comp_factor, slaves, n, out);
+}
+
+SlaveId EngineView::best_completion_slave(TaskId task) const {
+  const SlaveStateView s = slave_state();
+  if (!s.empty()) {
+    const TaskSpec& spec = task_spec(task);
+    const Time t = now();
+    const Time send_start = std::max({t, port_free_at(), spec.release});
+    return rank_best_completion(s, t, send_start, spec.comm_factor,
+                                spec.comp_factor);
+  }
+  SlaveId best = -1;
+  Time best_completion = 0.0;
+  for (SlaveId j = 0; j < platform().size(); ++j) {
+    if (!is_available(j)) continue;
+    const Time completion = completion_if_assigned(task, j);
+    if (best < 0 || completion < best_completion - kTimeEps) {
+      best = j;
+      best_completion = completion;
+    }
+  }
+  return best;
+}
+
 SlaveStateView OnePortEngine::slave_state() const {
-  if (options_.scalar_probes) return SlaveStateView{};
   SlaveStateView s;
   s.comm = platform_->comm_data();
   s.comp = platform_->comp_data();
@@ -730,34 +770,6 @@ SlaveStateView OnePortEngine::slave_state() const {
   }
   s.m = platform_->size();
   return s;
-}
-
-void OnePortEngine::completion_if_assigned_batch(TaskId task,
-                                                 const SlaveId* slaves, int n,
-                                                 Time* out) const {
-  const SlaveStateView s = slave_state();
-  if (s.empty()) {  // scalar_probes baseline: the generic virtual loop
-    EngineView::completion_if_assigned_batch(task, slaves, n, out);
-    return;
-  }
-  const TaskSpec& spec = task_spec(task);
-  const Time send_start = std::max({now_, port_free_at(), spec.release});
-  completion_gather_simd(s, now_, send_start, spec.comm_factor,
-                         spec.comp_factor, slaves, n, out);
-}
-
-SlaveId OnePortEngine::best_completion_slave(TaskId task) const {
-  // Same arithmetic and tie-break as the EngineView default, with the
-  // loop-invariant send-start hoisted and the per-slave virtual probes
-  // flattened into the batched ranking kernel over the engine's dense
-  // arrays. test_engine_diff keeps this honest against the default
-  // implementation running on the reference engine.
-  const SlaveStateView s = slave_state();
-  if (s.empty()) return EngineView::best_completion_slave(task);
-  const TaskSpec& spec = task_spec(task);
-  const Time send_start = std::max({now_, port_free_at(), spec.release});
-  return rank_best_completion(s, now_, send_start, spec.comm_factor,
-                              spec.comp_factor);
 }
 
 Schedule simulate(const platform::Platform& platform, const Workload& workload,

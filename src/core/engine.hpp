@@ -69,7 +69,10 @@ struct DeltaEvent {
   double speed = 1.0;  ///< kSlaveUp / kSpeedShift: the new speed
 };
 
-/// Engine knobs.
+/// Engine knobs: the platform model and what is recorded, never how the
+/// placement probes are evaluated — those always read the engine's dense
+/// arrays through slave_state(). The per-slave scalar baseline is the
+/// test-support ScalarProbeView (tests/support/scalar_probe_view.hpp).
 struct EngineOptions {
   /// Number of simultaneous sends the master may have in flight.
   /// 1 is the paper's one-port model; 0 means unbounded (the macro-dataflow
@@ -105,12 +108,6 @@ struct EngineOptions {
   std::vector<SlaveId> lazy_stream_ids;
   /// Record a decision/event log readable via OnePortEngine::trace().
   bool enable_trace = false;
-  /// Disable the batched ranking-kernel probe paths: slave_state() reports
-  /// empty and the batch probes fall back to the generic per-slave virtual
-  /// loops. This is the measurable pre-kernel baseline bench_fleet_scale
-  /// compares against, and a third triangulation point for the differential
-  /// suite (kernel vs scalar vs reference engine must all agree).
-  bool scalar_probes = false;
 };
 
 /// What time-varying availability cost a run: how often work had to be
@@ -301,10 +298,7 @@ class OnePortEngine final : public EngineView {
   const TaskSpec& task_spec(TaskId i) const override;
   std::optional<SlaveId> assignment_of(TaskId task) const override;
   Time completion_if_assigned(TaskId task, SlaveId j) const override;
-  void completion_if_assigned_batch(TaskId task, const SlaveId* slaves, int n,
-                                    Time* out) const override;
   SlaveStateView slave_state() const override;
-  SlaveId best_completion_slave(TaskId task) const override;
   const Schedule& schedule() const override { return schedule_; }
   const Trace& trace() const override { return trace_; }
 

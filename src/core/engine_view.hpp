@@ -21,11 +21,12 @@ namespace msol::core {
 /// IncrementalProjection (algorithms/meta/projection.hpp), which forward-
 /// simulates portfolio members over a mirror of a live engine. Test support
 /// adds the frozen reference engine (the original scan-based loop,
-/// tests/support/reference_engine.hpp) and the fresh-snapshot projection
-/// (tests/support/engine_projection.hpp). Schedulers are written against
-/// this view so the differential harness in tests/test_engine_diff.cpp can
-/// run the *same* policy on the production and reference engines and
-/// require bit-identical schedules and traces.
+/// tests/support/reference_engine.hpp), the fresh-snapshot projection
+/// (tests/support/engine_projection.hpp) and the scalar-probe view of a
+/// live engine (tests/support/scalar_probe_view.hpp). Schedulers are
+/// written against this view so the differential harness in
+/// tests/test_engine_diff.cpp can run the *same* policy on the production
+/// and reference engines and require bit-identical schedules and traces.
 class EngineView {
  public:
   virtual ~EngineView() = default;
@@ -98,48 +99,32 @@ class EngineView {
   /// Deliberately nominal — blind to injected background load.
   virtual Time completion_if_assigned(TaskId task, SlaveId j) const = 0;
 
-  /// Batched completion probe: out[i] = completion_if_assigned(task,
-  /// slaves[i]) for n candidate slaves. Engines with dense state override
-  /// this to hoist the per-task terms (spec lookup, send-start max chain)
-  /// out of the loop and run the ranking kernel over their arrays; the
-  /// default is the plain probe loop, which the reference engine keeps so the
-  /// differential suite pins the override to the scalar semantics.
-  virtual void completion_if_assigned_batch(TaskId task, const SlaveId* slaves,
-                                            int n, Time* out) const {
-    for (int i = 0; i < n; ++i) out[i] = completion_if_assigned(task, slaves[i]);
-  }
-
-  /// Structure-of-arrays snapshot of the per-slave probe state, for policy
-  /// components that rank every slave at once through the batched kernel
-  /// (core/rank_kernel.hpp). Engines that do not maintain dense arrays —
-  /// the frozen reference engine on purpose — return an empty() view, and
-  /// callers fall back to the virtual probes; the differential harness runs
-  /// both paths against each other. Pointers are valid only until the
-  /// engine's next mutation.
+  /// Structure-of-arrays snapshot of the per-slave probe state
+  /// (core/rank_kernel.hpp), the one virtual dense channel: the two batch
+  /// probes below and the policy filters run over it when it is non-empty.
+  /// Views without dense arrays return an empty() one and are probed slave
+  /// by slave — the reference engine on purpose, so the differential
+  /// harness pins the kernels against the scalar semantics. Pointers are
+  /// valid only until the view's next mutation.
   virtual SlaveStateView slave_state() const { return SlaveStateView{}; }
+
+  /// Batched completion probe: out[i] = completion_if_assigned(task,
+  /// slaves[i]) for n candidate slaves. Non-virtual: with dense state the
+  /// per-task terms (spec lookup, send-start max chain) are hoisted and the
+  /// gather kernel runs over slave_state(); without it, the plain probe
+  /// loop.
+  void completion_if_assigned_batch(TaskId task, const SlaveId* slaves, int n,
+                                    Time* out) const;
 
   /// The available slave minimizing completion_if_assigned(task, j), with
   /// list scheduling's exact tie-break: a later slave wins only when
   /// strictly better by more than kTimeEps; -1 when no slave is available.
-  /// One interface call instead of one per slave — the production engine
-  /// overrides it with a scan over its own state (the send-start term is
-  /// loop-invariant), turning LS's inner loop from m virtual probes into
-  /// one. The default is the plain generic loop; the reference engine keeps it,
-  /// so the override cannot drift unnoticed: the differential suite
-  /// compares the resulting schedules bit-for-bit.
-  virtual SlaveId best_completion_slave(TaskId task) const {
-    SlaveId best = -1;
-    Time best_completion = 0.0;
-    for (SlaveId j = 0; j < platform().size(); ++j) {
-      if (!is_available(j)) continue;
-      const Time completion = completion_if_assigned(task, j);
-      if (best < 0 || completion < best_completion - kTimeEps) {
-        best = j;
-        best_completion = completion;
-      }
-    }
-    return best;
-  }
+  /// Non-virtual, like the batch probe: dense views hoist the send-start
+  /// term and run the block-skip argmin kernel (LS's inner loop becomes
+  /// one call instead of m virtual probes); the rest run the generic scan,
+  /// which the differential suite compares bit for bit. Both batch probes
+  /// are defined in engine.cpp.
+  SlaveId best_completion_slave(TaskId task) const;
 
   /// The committed schedule so far (records are complete at commitment,
   /// since a commitment fully determines the task's trajectory).

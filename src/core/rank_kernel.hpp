@@ -13,12 +13,13 @@ namespace msol::core {
 /// (everything online, unit speed) so the kernels take their branch-free
 /// fast path.
 ///
-/// An empty() view means the engine cannot expose dense state (the frozen
-/// reference engine deliberately never does) and callers must fall back to
-/// the per-slave virtual probes — which is what keeps the differential
-/// harness honest: the same policy runs kernel-backed on OnePortEngine and
-/// probe-backed on the reference engine, and the schedules must match
-/// bit-for-bit.
+/// An empty() view means the EngineView keeps no dense state (the frozen
+/// reference engine and the test-support ScalarProbeView deliberately
+/// never do): EngineView's batch probes and the policy filters then take
+/// their per-slave virtual loops. That one switch is what keeps the
+/// differential harness honest: the same policy runs kernel-backed on
+/// OnePortEngine and probe-backed on the other views, and the schedules
+/// must match bit-for-bit.
 struct SlaveStateView {
   const Time* comm = nullptr;           ///< c_j (nominal port seconds)
   const Time* comp = nullptr;           ///< p_j (nominal compute seconds)
@@ -55,8 +56,8 @@ void completion_gather(const SlaveStateView& s, Time now, Time send_start,
 /// tie-break (a later slave wins only when strictly better by more than
 /// kTimeEps); -1 when no slave is available.
 ///
-/// This is the LS hot path (OnePortEngine and IncrementalProjection both
-/// call it), so it runs the widest block-skip body the host carries
+/// This is the LS hot path (EngineView::best_completion_slave calls it on
+/// every dense view), so it runs the widest block-skip body the host carries
 /// (AVX-512, else AVX2, else the scalar loop) on every view, availability
 /// state included. Each block computes its lanes with the scalar probe's
 /// exact operation sequence and compares them against the incumbent's

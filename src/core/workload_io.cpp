@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace msol::core {
 
@@ -26,6 +27,22 @@ Workload parse_workload(const std::string& text) {
   return read_workload(in);
 }
 
+namespace {
+
+/// One whitespace-separated field as a number: the whole token must parse,
+/// else the error names the token and its line.
+double parse_field(const std::string& token, int line_no) {
+  std::istringstream in(token);
+  double value = 0.0;
+  if (!(in >> value) || !in.eof()) {
+    throw std::invalid_argument("workload line " + std::to_string(line_no) +
+                                ": not a number '" + token + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 Workload read_workload(std::istream& is) {
   std::vector<TaskSpec> tasks;
   std::string line;
@@ -35,19 +52,22 @@ Workload read_workload(std::istream& is) {
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
     std::istringstream fields(line);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (tokens.empty()) continue;  // blank or comment-only line
     TaskSpec t;
-    if (!(fields >> t.release)) continue;  // blank or comment-only line
-    if (fields >> t.comm_factor) {
-      if (!(fields >> t.comp_factor)) {
-        throw std::invalid_argument(
-            "workload line " + std::to_string(line_no) +
-            ": comm_factor given without comp_factor");
-      }
+    double* const columns[] = {&t.release, &t.comm_factor, &t.comp_factor};
+    for (std::size_t k = 0; k < tokens.size() && k < 3; ++k) {
+      *columns[k] = parse_field(tokens[k], line_no);
     }
-    std::string extra;
-    if (fields >> extra) {
+    if (tokens.size() > 3) {
       throw std::invalid_argument("workload line " + std::to_string(line_no) +
-                                  ": trailing garbage '" + extra + "'");
+                                  ": trailing garbage '" + tokens[3] + "'");
+    }
+    if (tokens.size() == 2) {
+      throw std::invalid_argument(
+          "workload line " + std::to_string(line_no) +
+          ": comm_factor given without comp_factor");
     }
     tasks.push_back(t);
   }

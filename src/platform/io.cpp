@@ -26,6 +26,22 @@ Platform parse(const std::string& text) {
   return read(in);
 }
 
+namespace {
+
+/// One whitespace-separated field as a number: the whole token must parse,
+/// else the error names the token and its line.
+double parse_field(const std::string& token, int line_no) {
+  std::istringstream in(token);
+  double value = 0.0;
+  if (!(in >> value) || !in.eof()) {
+    throw std::invalid_argument("platform line " + std::to_string(line_no) +
+                                ": not a number '" + token + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 Platform read(std::istream& is) {
   std::vector<SlaveSpec> slaves;
   std::string line;
@@ -35,16 +51,19 @@ Platform read(std::istream& is) {
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
     std::istringstream fields(line);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (tokens.empty()) continue;  // blank or comment-only line
     SlaveSpec s;
-    if (!(fields >> s.comm)) continue;  // blank or comment-only line
-    if (!(fields >> s.comp)) {
+    s.comm = parse_field(tokens[0], line_no);
+    if (tokens.size() == 1) {
       throw std::invalid_argument("platform line " + std::to_string(line_no) +
                                   ": expected two columns (c_j p_j)");
     }
-    std::string extra;
-    if (fields >> extra) {
+    s.comp = parse_field(tokens[1], line_no);
+    if (tokens.size() > 2) {
       throw std::invalid_argument("platform line " + std::to_string(line_no) +
-                                  ": trailing garbage '" + extra + "'");
+                                  ": trailing garbage '" + tokens[2] + "'");
     }
     slaves.push_back(s);
   }

@@ -184,10 +184,10 @@ int run_fit(const msol::util::Cli& cli) {
     }
   }
   theory::SearchConfig config;
-  config.num_slaves = static_cast<int>(cli.get_int("slaves", 2));
-  config.num_tasks = static_cast<int>(cli.get_int("tasks", 4));
-  config.iterations = static_cast<int>(cli.get_int("iterations", 400));
-  config.restarts = static_cast<int>(cli.get_int("restarts", 3));
+  config.num_slaves = cli.get_int32("slaves", 2);
+  config.num_tasks = cli.get_int32("tasks", 4);
+  config.iterations = cli.get_int32("iterations", 400);
+  config.restarts = cli.get_int32("restarts", 3);
   config.seed = cli.get_uint64("seed", 2006);
 
   const std::vector<experiments::RobustSpecResult> report =
@@ -253,21 +253,21 @@ int main(int argc, char** argv) {
 
     runner::ScenarioGrid grid = runner::load_grid(cli.positional()[0]);
     if (cli.has("engine-shards")) {
-      const long long k = cli.get_int("engine-shards", 1);
-      if (k < 1) throw std::runtime_error("--engine-shards must be >= 1");
-      grid.engine_shards = static_cast<int>(k);
+      grid.engine_shards = cli.get_int32("engine-shards", 1);
+      if (grid.engine_shards < 1) {
+        throw std::runtime_error("--engine-shards must be >= 1");
+      }
     }
     if (cli.has("shard-routing")) {
       grid.shard_routing = cli.get("shard-routing", "hash");
       core::parse_shard_routing(grid.shard_routing);  // validate early
     }
     if (cli.has("shard-threads")) {
-      const long long st = cli.get_int("shard-threads", 1);
-      if (st < 0) {
+      grid.shard_threads = cli.get_int32("shard-threads", 1);
+      if (grid.shard_threads < 0) {
         throw std::runtime_error(
             "--shard-threads must be >= 0 (0 = hardware concurrency)");
       }
-      grid.shard_threads = static_cast<int>(st);
     }
     const bool quiet = cli.has("quiet");
     const std::size_t shards = cli.get_uint64("shards", 1);
@@ -275,6 +275,12 @@ int main(int argc, char** argv) {
     if (shards == 0 || shard_index >= shards) {
       throw std::runtime_error("--shard-index must be < --shards (>= 1)");
     }
+    // Parsed before --dry-run returns, so a malformed value fails there too.
+    runner::RunnerOptions runner_options;
+    runner_options.threads = cli.get_int32("threads", 1);
+    const long long window = cli.get_int("window", 0);
+    if (window < 0) throw std::runtime_error("--window must be >= 0");
+    runner_options.window = static_cast<std::size_t>(window);
 
     if (cli.has("print-grid")) std::cout << runner::serialize_grid(grid);
     if (cli.has("dry-run")) {
@@ -317,11 +323,6 @@ int main(int argc, char** argv) {
           "--resume needs file output (--csv/--jsonl FILE) or --manifest");
     }
 
-    runner::RunnerOptions runner_options;
-    runner_options.threads = static_cast<int>(cli.get_int("threads", 1));
-    const long long window = cli.get_int("window", 0);
-    if (window < 0) throw std::runtime_error("--window must be >= 0");
-    runner_options.window = static_cast<std::size_t>(window);
     if (!quiet) {
       runner_options.progress = [&](std::size_t done, std::size_t total) {
         std::cerr << "\r" << grid.name << ": " << done << "/" << total

@@ -45,10 +45,12 @@ double parse_double(const std::string& token, const std::string& line) {
   }
 }
 
-std::int64_t parse_int(const std::string& token, const std::string& line) {
+/// Every integer grid field is an int: out-of-range values throw rather
+/// than wrap ("engine_shards = 4294967298" is not 2).
+int parse_int(const std::string& token, const std::string& line) {
   try {
     std::size_t pos = 0;
-    const std::int64_t v = std::stoll(token, &pos);
+    const int v = std::stoi(token, &pos);
     if (pos != token.size()) throw std::invalid_argument(token);
     return v;
   } catch (const std::exception&) {
@@ -250,7 +252,9 @@ ScenarioGrid parse_grid(const std::string& text) {
     } else if (key == "seed") {
       // stoull, not parse_int: seeds are the full uint64 space (cell seeds
       // are splitmix64 outputs a user may paste back for reproduction).
+      // stoull wraps negatives ("-1" -> 2^64-1), so they are rejected first.
       try {
+        if (value[0] == '-') throw std::invalid_argument(value);
         std::size_t pos = 0;
         grid.seed = std::stoull(value, &pos);
         if (pos != value.size()) throw std::invalid_argument(value);
@@ -259,11 +263,11 @@ ScenarioGrid parse_grid(const std::string& text) {
                                     "' in: " + raw);
       }
     } else if (key == "platforms") {
-      grid.num_platforms = static_cast<int>(parse_int(value, raw));
+      grid.num_platforms = parse_int(value, raw);
     } else if (key == "tasks") {
-      grid.num_tasks = static_cast<int>(parse_int(value, raw));
+      grid.num_tasks = parse_int(value, raw);
     } else if (key == "lookahead") {
-      grid.lookahead = static_cast<int>(parse_int(value, raw));
+      grid.lookahead = parse_int(value, raw);
     } else if (key == "algorithms") {
       grid.algorithms = split_csv(value);
       if (grid.algorithms.empty()) {
@@ -288,7 +292,7 @@ ScenarioGrid parse_grid(const std::string& text) {
     } else if (key == "slaves") {
       grid.slave_counts = parse_list<int>(
           value, raw, [](const std::string& t, const std::string& l) {
-            return static_cast<int>(parse_int(t, l));
+            return parse_int(t, l);
           });
     } else if (key == "arrival") {
       grid.arrivals = parse_list<experiments::ArrivalProcess>(
@@ -303,7 +307,7 @@ ScenarioGrid parse_grid(const std::string& text) {
     } else if (key == "port") {
       grid.port_capacities = parse_list<int>(
           value, raw, [](const std::string& t, const std::string& l) {
-            return static_cast<int>(parse_int(t, l));
+            return parse_int(t, l);
           });
     } else if (key == "sizes") {
       grid.size_mixes = parse_list<experiments::TaskSizeMix>(
@@ -326,7 +330,7 @@ ScenarioGrid parse_grid(const std::string& text) {
     } else if (key == "ipp_period_tasks") {
       grid.ipp_period_tasks = parse_double(value, raw);
     } else if (key == "engine_shards") {
-      grid.engine_shards = static_cast<int>(parse_int(value, raw));
+      grid.engine_shards = parse_int(value, raw);
       if (grid.engine_shards < 1) {
         throw std::invalid_argument("grid: engine_shards must be >= 1 in: " +
                                     raw);
@@ -340,7 +344,7 @@ ScenarioGrid parse_grid(const std::string& text) {
       }
       grid.shard_routing = value;
     } else if (key == "shard_threads") {
-      grid.shard_threads = static_cast<int>(parse_int(value, raw));
+      grid.shard_threads = parse_int(value, raw);
       if (grid.shard_threads < 0) {
         throw std::invalid_argument(
             "grid: shard_threads must be >= 0 (0 = hardware concurrency) "

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace msol::util {
@@ -43,11 +44,24 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   try {
-    return std::stoll(it->second);
+    std::size_t pos = 0;
+    const std::int64_t value = std::stoll(it->second, &pos);
+    if (pos != it->second.size()) throw std::invalid_argument(it->second);
+    return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("--" + key + " expects an integer, got '" +
                                 it->second + "'");
   }
+}
+
+int Cli::get_int32(const std::string& key, int fallback) const {
+  const std::int64_t value = get_int(key, fallback);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("--" + key + " is out of range, got '" +
+                                values_.at(key) + "'");
+  }
+  return static_cast<int>(value);
 }
 
 std::uint64_t Cli::get_uint64(const std::string& key,

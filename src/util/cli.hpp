@@ -27,7 +27,12 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Whole-token integer parse: trailing junk ("2x", "3.9") throws
+  /// std::invalid_argument, like every other getter.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// get_int narrowed to int: values outside int's range throw instead of
+  /// wrapping, so "--engine-shards 4294967298" cannot become 2.
+  int get_int32(const std::string& key, int fallback) const;
   /// Full-uint64-range parse that rejects negatives and trailing junk;
   /// counts and indices (--shards, --shard-index) use this so "-1" fails
   /// loudly instead of wrapping.

@@ -65,16 +65,10 @@ class EngineProjection : public core::EngineView {
   std::optional<core::SlaveId> assignment_of(core::TaskId task) const override;
   core::Time completion_if_assigned(core::TaskId task,
                                     core::SlaveId j) const override;
-  /// Batched probes through the ranking kernel over the projection's dense
-  /// arrays. Besides the per-slave arithmetic, these hoist the O(pending)
-  /// task_spec list walk out of the per-slave loop — the meta layer's
-  /// portfolio scoring calls the probes once per (member, decision, slave),
-  /// making this the projection's hot path.
-  void completion_if_assigned_batch(core::TaskId task,
-                                    const core::SlaveId* slaves, int n,
-                                    core::Time* out) const override;
+  /// Dense arrays for EngineView's batch probes, which besides the
+  /// per-slave arithmetic hoist the O(pending) task_spec list walk out of
+  /// the per-slave loop.
   core::SlaveStateView slave_state() const override;
-  core::SlaveId best_completion_slave(core::TaskId task) const override;
   const core::Schedule& schedule() const override { return schedule_; }
   const core::Trace& trace() const override { return trace_; }
 

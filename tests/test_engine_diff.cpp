@@ -15,12 +15,14 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
 #include "support/reference_engine.hpp"
+#include "support/scalar_probe_view.hpp"
 #include "core/sharded_engine.hpp"
 #include "experiments/campaign.hpp"
 #include "platform/availability.hpp"
@@ -466,22 +468,135 @@ TEST(EngineDiffWaitUntil, PastOrPresentRequestLeavesTheLiveOneInForce) {
             (std::vector<Time>{0.0, 1.0, 2.0, 4.0, 5.0, 6.0}));
 }
 
-// ----- scale-stratified shards ---------------------------------------------
+// ----- kernel vs scalar probes ---------------------------------------------
 //
-// Fleet sizes the 500-case suite never reaches: 1k/4k slaves x 50k/100k
-// tasks. ReferenceEngine's O(pending) scans would dominate the suite's
-// runtime here, and it cannot run availability at all, so at scale the
-// scalar-probe OnePortEngine (EngineOptions::scalar_probes, the generic
-// per-slave virtual loops, proven bit-identical to the reference by the
-// shards above) is the expected side, and the default engine with the
-// batched ranking kernel must reproduce it byte for byte — under churn
-// too, which makes this the only kernel-vs-scalar proof with offline and
-// speed lanes. ChaoticPolicy is excluded: its pending_tasks() copy is
-// O(n^2) over a 100k backlog and its WaitUntil coverage is already
-// carried by the base shards.
+// The shards above pin OnePortEngine's kernel-backed probes against the
+// reference engine's scalar loops, but the reference engine cannot run
+// time-varying availability. The shards below therefore take the SAME
+// OnePortEngine as both sides: the plain policy reads the dense arrays
+// (slave_state(), the gather and argmin kernels, the dense filter sweeps),
+// and the same policy wrapped in ScalarProbeScheduler sees the engine
+// through ScalarProbeView (tests/support/scalar_probe_view.hpp), which
+// withholds slave_state() so every probe takes EngineView's per-slave
+// loop. Both sides must agree bit for bit, offline and speed lanes
+// included.
 //
 // Setting MSOL_DIFF_SCALE=small (sanitizer CI legs) shrinks every case
-// ~16x/25x while keeping the same structure.
+// while keeping the same structure.
+
+bool small_scale() {
+  const char* scale_env = std::getenv("MSOL_DIFF_SCALE");
+  return scale_env != nullptr && std::string(scale_env) == "small";
+}
+
+std::unique_ptr<OnlineScheduler> scalar_probes(
+    std::unique_ptr<OnlineScheduler> inner) {
+  return std::make_unique<ScalarProbeScheduler>(std::move(inner));
+}
+
+TEST(ScalarProbeScheduler, NeedsALiveOnePortEngine) {
+  const platform::Platform plat = platform::Platform::homogeneous(2, 1.0, 1.0);
+  ScalarProbeScheduler policy(algorithms::make_scheduler("LS"));
+  ReferenceEngine engine(plat, policy);
+  engine.load(Workload::all_at_zero(1));
+  EXPECT_THROW(engine.run_to_completion(), std::logic_error);
+}
+
+// Small m over the policy zoo: every listed registry name, the hedge meta
+// policy, and compositions that reach each dense path a registry name does
+// not (filter:free with the completion gather, the linear ranker's batch
+// probe, the plan ranker's argmin fallback over a filtered set, the
+// fastlink tie on kernel scores), under the static, churn and drift
+// availability models.
+
+const std::vector<std::string>& zoo_policies() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> all = algorithms::listed_algorithm_names();
+    for (const char* spec : {
+             "hedge:LS;SRPT",
+             "hedge:RR;filter:free+rank:completion+window:4+hyst:1",
+             "filter:all+rank:completion+tie:fastlink",
+             "filter:free+rank:completion",
+             "filter:free+rank:completion+tie:fastlink",
+             "rank:linear:1:0.5:0.25:0.1:0.2",
+             "filter:free+rank:linear:1:0:0:0.5:0.5",
+             "rank:plan:sljf:6",
+             "filter:free+rank:plan:sljf:6",
+             "filter:throttle:3+rank:plan:sljfwc:6+tie:fastlink",
+         }) {
+      all.push_back(spec);
+    }
+    return all;
+  }();
+  return names;
+}
+
+constexpr int kZooSlaves[] = {1, 3, 17, 64};
+constexpr platform::AvailabilityModel kZooAvail[] = {
+    platform::AvailabilityModel::kAlways, platform::AvailabilityModel::kChurn,
+    platform::AvailabilityModel::kDrift};
+
+class EngineDiffZoo : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineDiffZoo, KernelMatchesScalarOverThePolicyZoo) {
+  const int m = kZooSlaves[GetParam() % std::size(kZooSlaves)];
+  const platform::AvailabilityModel avail =
+      kZooAvail[GetParam() / std::size(kZooSlaves)];
+  const int tasks = small_scale() ? 100 : 1000;
+
+  int redispatches = 0;
+  for (std::size_t p = 0; p < zoo_policies().size(); ++p) {
+    const std::string& policy = zoo_policies()[p];
+    const std::uint64_t seed = 616000ULL +
+                               1000ULL * static_cast<std::uint64_t>(GetParam()) +
+                               static_cast<std::uint64_t>(p);
+    const std::string label = policy + " m=" + std::to_string(m) + " " +
+                              platform::to_string(avail) + " seed " +
+                              std::to_string(seed);
+    util::Rng rng(seed);
+    const platform::Platform plat = platform::PlatformGenerator().generate(
+        platform::PlatformClass::kFullyHeterogeneous, m, rng);
+    const double rate = 0.9 * experiments::max_throughput(plat);
+    const Workload work =
+        Workload::bursty(tasks, tasks / 20 + 1, 1.0 / rate, rng)
+            .with_size_jitter(0.3, rng);
+    EngineOptions options;
+    options.enable_trace = true;
+    const Time horizon = 1.5 * static_cast<Time>(tasks) / rate;
+    options.availability = platform::generate_availability(
+        avail, m, horizon / 8.0, 0.2, horizon, rng);
+
+    const auto policy_e =
+        scalar_probes(algorithms::make_scheduler(policy, 40, seed));
+    OnePortEngine expected(plat, *policy_e, options);
+    expected.load(work);
+    expected.run_to_completion();
+
+    const auto policy_a = algorithms::make_scheduler(policy, 40, seed);
+    OnePortEngine actual(plat, *policy_a, options);
+    actual.load(work);
+    actual.run_to_completion();
+    expect_identical(actual, expected, label + " [kernel vs scalar]");
+    redispatches += actual.disruption().redispatches;
+  }
+  // The churn leg must actually flush work back to pending, or the offline
+  // lanes the kernels blend out would go untested.
+  if (avail == platform::AvailabilityModel::kChurn) {
+    EXPECT_GT(redispatches, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, EngineDiffZoo,
+    ::testing::Range(0, static_cast<int>(std::size(kZooSlaves) *
+                                         std::size(kZooAvail))));
+
+// Fleet sizes the 500-case suite never reaches: 1k/4k slaves x 50k/100k
+// tasks, where the scalar side's per-slave loops cost m forwarded probes
+// per decision. ChaoticPolicy is excluded: its pending_tasks() copy is
+// O(n^2) over a 100k backlog and its WaitUntil coverage is already
+// carried by the base shards. MSOL_DIFF_SCALE=small shrinks every case
+// ~16x/25x.
 
 struct ScaleCase {
   const char* policy;
@@ -500,8 +615,7 @@ class EngineDiffScale : public ::testing::TestWithParam<int> {};
 
 TEST_P(EngineDiffScale, KernelMatchesScalarAtFleetScale) {
   ScaleCase c = kScaleCases[GetParam()];
-  const char* scale_env = std::getenv("MSOL_DIFF_SCALE");
-  if (scale_env != nullptr && std::string(scale_env) == "small") {
+  if (small_scale()) {
     c.slaves /= 16;
     c.tasks /= 25;
   }
@@ -520,33 +634,30 @@ TEST_P(EngineDiffScale, KernelMatchesScalarAtFleetScale) {
   const Workload work =
       Workload::bursty(c.tasks, c.tasks / 64 + 1, 1.0 / rate, rng);
 
-  EngineOptions scalar_options;
-  scalar_options.scalar_probes = true;
+  EngineOptions options;
   if (c.churn) {
     const Time horizon = 1.5 * static_cast<Time>(c.tasks) / rate;
-    scalar_options.availability = platform::generate_availability(
+    options.availability = platform::generate_availability(
         platform::AvailabilityModel::kChurn, c.slaves, horizon / 4.0, 0.1,
         horizon, rng);
   }
-  EngineOptions kernel_options = scalar_options;
-  kernel_options.scalar_probes = false;
 
-  const auto policy_e = algorithms::make_scheduler(c.policy);
-  OnePortEngine expected(plat, *policy_e, scalar_options);
+  const auto policy_e = scalar_probes(algorithms::make_scheduler(c.policy));
+  OnePortEngine expected(plat, *policy_e, options);
   expected.load(work);
   expected.run_to_completion();
 
   const auto policy_a = algorithms::make_scheduler(c.policy);
-  OnePortEngine actual(plat, *policy_a, kernel_options);
+  OnePortEngine actual(plat, *policy_a, options);
   actual.load(work);
   actual.run_to_completion();
   expect_identical(actual, expected, label + " [kernel vs scalar]");
 
-  // Reverse direction through reset(): the engine that just ran the kernel
-  // probes is re-pointed at the scalar ones — state surviving reset()
-  // would diverge here.
-  const auto policy_b = algorithms::make_scheduler(c.policy);
-  actual.reset(plat, *policy_b, scalar_options);
+  // Reverse direction through reset(): the engine whose policy just read
+  // the dense arrays now runs the scalar-probe wrapper — state surviving
+  // reset() would diverge here.
+  const auto policy_b = scalar_probes(algorithms::make_scheduler(c.policy));
+  actual.reset(plat, *policy_b, options);
   actual.load(work);
   actual.run_to_completion();
   expect_identical(actual, expected, label + " [scalar via reused engine]");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <limits>
 
 #include "platform/generator.hpp"
@@ -210,6 +211,18 @@ TEST(PlatformIo, RejectsMalformedInput) {
   EXPECT_THROW(parse("0.5 1.0 9\n"), std::invalid_argument);  // extra column
   EXPECT_THROW(parse("# only comments\n"), std::invalid_argument);
   EXPECT_THROW(parse("-1 1\n"), std::invalid_argument);  // Platform validation
+  // A line that does not parse is an error, not a blank line.
+  try {
+    parse("1 2\nslave 3 4\n2 3\n");
+    FAIL() << "a non-numeric line must throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("'slave'"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(parse("1 2x\n"), std::invalid_argument);
+  EXPECT_EQ(parse("\t \n1 2\n").size(), 1);
 }
 
 }  // namespace

@@ -156,6 +156,16 @@ TEST(GridFormat, RejectsMalformedInput) {
   EXPECT_THROW(parse_grid("sizes = metal\n"), std::invalid_argument);
   EXPECT_THROW(parse_grid("seed = 1\nseed = 2\n"), std::invalid_argument);
   EXPECT_THROW(parse_grid("load =\n"), std::invalid_argument);
+  // stoull wraps negatives to 2^64 - 1; integer fields are ints and must
+  // not wrap either.
+  EXPECT_THROW(parse_grid("seed = -1\n"), std::invalid_argument);
+  EXPECT_THROW(parse_grid("seed = 12x\n"), std::invalid_argument);
+  EXPECT_THROW(parse_grid("engine_shards = 4294967298\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_grid("tasks = 4294967396\n"), std::invalid_argument);
+  EXPECT_THROW(parse_grid("slaves = 5, 4294967301\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_grid("shard_threads = 2x\n"), std::invalid_argument);
 }
 
 TEST(GridFormat, AlgoAliasAcceptsPolicySpecsAndValidatesThem) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
@@ -188,6 +189,20 @@ TEST(WorkloadIo, IgnoresCommentsAndRejectsGarbage) {
   EXPECT_THROW(core::parse_workload("1.0 2.0\n"), std::invalid_argument);
   EXPECT_THROW(core::parse_workload("1 1 1 surplus\n"), std::invalid_argument);
   EXPECT_THROW(core::parse_workload("-1\n"), std::invalid_argument);
+  // A line that does not parse is an error, not a blank line.
+  EXPECT_THROW(core::parse_workload("0.0\nabc\n1.0\n"), std::invalid_argument);
+  EXPECT_THROW(core::parse_workload("0.0 1 1x\n"), std::invalid_argument);
+  try {
+    core::parse_workload("1.0\n0.0 zz\n");
+    FAIL() << "a non-numeric field must throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("'zz'"), std::string::npos)
+        << error.what();
+  }
+  // Whitespace-only lines (after the comment is stripped) stay blank.
+  EXPECT_EQ(core::parse_workload(" \t\n0.5 # c\n  # x\n").size(), 1);
 }
 
 }  // namespace

@@ -308,9 +308,23 @@ TEST(Cli, ValueKeyWithoutValueThrows) {
 }
 
 TEST(Cli, RejectsMalformedNumbers) {
-  const char* argv[] = {"prog", "--n=abc"};
-  Cli cli(2, argv);
+  const char* argv[] = {"prog",          "--n=abc",
+                        "--threads=2x",  "--frac=3.9",
+                        "--shards=4294967298", "--low=-2147483649",
+                        "--ok=-7"};
+  Cli cli(7, argv);
   EXPECT_THROW(cli.get_int("n", 0), std::invalid_argument);
+  // stoll alone stops at the first bad character: "2x" read as 2 and
+  // "3.9" as 3.
+  EXPECT_THROW(cli.get_int("threads", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("frac", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int32("threads", 0), std::invalid_argument);
+  // Beyond int's range: a static_cast would wrap 2^32 + 2 to 2.
+  EXPECT_EQ(cli.get_int("shards", 0), 4294967298LL);
+  EXPECT_THROW(cli.get_int32("shards", 1), std::invalid_argument);
+  EXPECT_THROW(cli.get_int32("low", 1), std::invalid_argument);
+  EXPECT_EQ(cli.get_int32("ok", 0), -7);
+  EXPECT_EQ(cli.get_int32("absent", 5), 5);
 }
 
 TEST(Cli, GetDoubleRejectsTrailingJunkAndNonFiniteValues) {
